@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <string_view>
+
+#include "support/telemetry.hpp"
 
 namespace slimsim::sim {
 namespace {
@@ -71,6 +76,102 @@ TEST_F(ParallelTest, FirstComeModeStillWorksOnUnbiasedWorkload) {
     po.collection = CollectionMode::FirstCome;
     const auto res = estimate_parallel(net, prop, StrategyKind::Progressive, ch, 3, po);
     EXPECT_NEAR(res.estimate, expected, 0.05);
+}
+
+// Golden byte-identity: the deterministic view of the run report (everything
+// but the "runtime" and "resources" sections) is pinned at fixed seeds, so a
+// change to how samples travel from workers to the consumer cannot move any
+// accepted sample, stop point or trajectory mark unnoticed. The pinned values
+// were computed with the one-sample-per-push, one-round-per-drain collector.
+
+std::uint64_t fnv1a64(std::string_view text) {
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001B3ULL;
+    }
+    return h;
+}
+
+struct GoldenRun {
+    const char* criterion;
+    std::uint64_t seed;
+    std::size_t workers;
+    std::uint64_t samples;
+    std::uint64_t successes;
+    std::uint64_t view_hash;
+};
+
+TEST_F(ParallelTest, GoldenDeterministicViewOfScalarRuns) {
+    const stat::ChernoffHoeffding ch(0.05, 0.03);
+    const stat::GaussCriterion gauss(0.05, 0.02);
+    const stat::ChowRobbins chow(0.05, 0.02);
+    const auto criterion_named = [&](std::string_view name) -> const stat::StopCriterion& {
+        if (name == "ch") return ch;
+        if (name == "gauss") return gauss;
+        return chow;
+    };
+    constexpr GoldenRun kGolden[] = {
+        // criterion, seed, workers, samples, successes, view hash
+        {"ch", 3, 1, 2050, 1319, 0x07FDD0BEDC56C70FULL},
+        {"ch", 3, 2, 2050, 1319, 0xCF674B23BB9E47E8ULL},
+        {"ch", 3, 3, 2052, 1326, 0x87AA91EAE933B3D3ULL},
+        {"ch", 17, 1, 2050, 1248, 0x8C86B17165947736ULL},
+        {"ch", 17, 2, 2050, 1252, 0x9779E220CED5D92FULL},
+        {"ch", 17, 3, 2052, 1268, 0xBF38212336AC1505ULL},
+        {"gauss", 3, 1, 2401, 1544, 0x4EB9C87E21176CD0ULL},
+        {"gauss", 3, 2, 2402, 1548, 0xCBEE2607D7860982ULL},
+        {"gauss", 3, 3, 2403, 1549, 0xA9511876131BEC27ULL},
+        {"gauss", 17, 1, 2401, 1470, 0x85ABC37E47F9216DULL},
+        {"gauss", 17, 2, 2402, 1479, 0x5C2DFD4AF1712C9EULL},
+        {"gauss", 17, 3, 2403, 1484, 0xCD8B117387EF078FULL},
+        {"chow", 3, 1, 2210, 1422, 0x2E73BF74C0BB3BFEULL},
+        {"chow", 3, 2, 2210, 1421, 0xB6A340FCEC26ACF9ULL},
+        {"chow", 3, 3, 2205, 1423, 0x22F1D3110404C9B6ULL},
+        {"chow", 17, 1, 2288, 1399, 0xF944A5010A57A4EEULL},
+        {"chow", 17, 2, 2288, 1399, 0xF496A0F820F70799ULL},
+        {"chow", 17, 3, 2268, 1408, 0x228225E931170C18ULL},
+    };
+    for (const GoldenRun& g : kGolden) {
+        ParallelOptions po;
+        po.workers = g.workers;
+        telemetry::RunReport report;
+        const auto res = estimate_parallel(net, prop, StrategyKind::Progressive,
+                                           criterion_named(g.criterion), g.seed, po,
+                                           &report);
+        const std::string view = telemetry::deterministic_view(report.to_json()).dump(2);
+        SCOPED_TRACE(std::string(g.criterion) + " seed " + std::to_string(g.seed) + ", " +
+                     std::to_string(g.workers) + " workers");
+        EXPECT_EQ(res.samples, g.samples);
+        EXPECT_EQ(res.successes, g.successes);
+        EXPECT_EQ(fnv1a64(view), g.view_hash) << view;
+    }
+}
+
+TEST_F(ParallelTest, GoldenDeterministicViewOfCurveRuns) {
+    const stat::ChernoffHoeffding ch(0.05, 0.03);
+    CurveOptions curve;
+    curve.bounds = {0.5, 1.0, 2.0};
+    constexpr GoldenRun kGolden[] = {
+        // criterion, seed, workers, samples, successes at 2.0, view hash
+        {"ch", 3, 1, 2050, 1303, 0x29B2A37D021D41FFULL},
+        {"ch", 3, 3, 2050, 1303, 0xEA889EFE907C2A26ULL},
+        {"ch", 17, 1, 2050, 1285, 0x1A94B929EDBC1790ULL},
+        {"ch", 17, 3, 2050, 1285, 0x6C96366C592C8DE9ULL},
+    };
+    for (const GoldenRun& g : kGolden) {
+        ParallelOptions po;
+        po.workers = g.workers;
+        telemetry::RunReport report;
+        const auto res = estimate_curve_parallel(net, prop, StrategyKind::Progressive, ch,
+                                                 curve, g.seed, po, &report);
+        const std::string view = telemetry::deterministic_view(report.to_json()).dump(2);
+        SCOPED_TRACE("curve seed " + std::to_string(g.seed) + ", " +
+                     std::to_string(g.workers) + " workers");
+        EXPECT_EQ(res.samples, g.samples);
+        EXPECT_EQ(res.points.back().successes, g.successes);
+        EXPECT_EQ(fnv1a64(view), g.view_hash) << view;
+    }
 }
 
 TEST_F(ParallelTest, RejectsBadConfiguration) {

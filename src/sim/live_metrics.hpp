@@ -28,7 +28,7 @@ public:
         c_samples_ = &registry->counter("slimsim_samples_consumed_total",
                                         "Samples accepted by the consuming thread.");
         c_rounds_ = &registry->counter("slimsim_consumer_rounds_total",
-                                       "Collector drain rounds consumed.");
+                                       "Complete collector rounds consumed.");
         c_checkpoint_writes_ = &registry->counter(
             "slimsim_checkpoint_writes_total", "Checkpoint files written.");
         c_checkpoint_bytes_ = &registry->counter(
@@ -63,8 +63,11 @@ public:
     void add_samples(std::uint64_t n) {
         if (c_samples_ != nullptr && n > 0) c_samples_->add(0, n);
     }
-    void add_round() {
-        if (c_rounds_ != nullptr) c_rounds_->add(0);
+    /// Advances the rounds counter to the collector's running total of
+    /// consumed rounds: one drain call may take many rounds, or none.
+    void sync_rounds(std::uint64_t total) {
+        if (c_rounds_ != nullptr && total > rounds_) c_rounds_->add(0, total - rounds_);
+        rounds_ = total;
     }
     void add_checkpoint(std::size_t bytes) {
         if (c_checkpoint_writes_ != nullptr) {
@@ -99,6 +102,7 @@ public:
 
 private:
     RunBudget budget_;
+    std::uint64_t rounds_ = 0;
     metrics::Counter* c_samples_ = nullptr;
     metrics::Counter* c_rounds_ = nullptr;
     metrics::Counter* c_checkpoint_writes_ = nullptr;

@@ -441,6 +441,7 @@ CoreResult run_core(const eda::Network& net, const TimedReachability& property,
         spawn(w, s.recv_local);
     };
 
+    std::vector<stat::TaggedSample> frame_block;
     // Frame handling; returns false when the frame is unattributable (the
     // stream is then treated as corrupt). PayloadReader throws on truncated
     // payloads — the caller maps that to the same corrupt-stream path.
@@ -470,6 +471,9 @@ CoreResult run_core(const eda::Network& net, const TimedReachability& property,
             const std::uint64_t first = r.get_u64();
             const std::uint32_t count = r.get_u32();
             if (first != s.recv_local) return false;
+            // The whole frame goes to the collector as one block, and only
+            // once it decoded completely.
+            frame_block.clear();
             for (std::uint32_t i = 0; i < count; ++i) {
                 const bool value = r.get_u8() != 0;
                 const std::uint8_t tag = r.get_u8();
@@ -488,8 +492,9 @@ CoreResult run_core(const eda::Network& net, const TimedReachability& property,
                                                       std::move(err));
                     }
                 }
-                collector.push(w, stat::TaggedSample{value, tag, time, steps});
+                frame_block.push_back(stat::TaggedSample{value, tag, time, steps});
             }
+            collector.push_block(w, frame_block);
             s.recv_local += count;
             return true;
         }
@@ -664,7 +669,7 @@ CoreResult run_core(const eda::Network& net, const TimedReachability& property,
                 &total_steps);
             if (consumed > 0) {
                 live.add_samples(consumed);
-                live.add_round();
+                live.sync_rounds(collector.stats().rounds);
             }
             if ((progress || live) && consumed > 0) {
                 const auto pnow = Clock::now();

@@ -1,7 +1,6 @@
 #include "support/memprobe.hpp"
 
 #include <cstdio>
-#include <cstring>
 
 #include <sys/resource.h>
 #include <unistd.h>
@@ -21,6 +20,19 @@ std::size_t current_rss_bytes() {
 }
 
 std::size_t peak_rss_bytes() {
+    // VmHWM is this address space's own high-water mark. getrusage's
+    // ru_maxrss is not: it survives exec, so a process started by a large
+    // parent would report the parent's resident size at fork as its peak.
+    if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+        char line[256];
+        unsigned long long kib = 0;
+        bool found = false;
+        while (!found && std::fgets(line, sizeof line, f) != nullptr) {
+            found = std::sscanf(line, "VmHWM: %llu kB", &kib) == 1;
+        }
+        std::fclose(f);
+        if (found) return static_cast<std::size_t>(kib) * 1024u;
+    }
     struct rusage usage{};
     if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
     // ru_maxrss is in kilobytes on Linux.

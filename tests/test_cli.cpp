@@ -10,13 +10,16 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "models/failover.hpp"
 #include "models/gps.hpp"
 #include "models/sensor_filter.hpp"
 #include "support/json.hpp"
+#include "support/memprobe.hpp"
 #include "support/metrics_text.hpp"
 
 namespace {
@@ -767,6 +770,42 @@ TEST_F(CliTest, MissingFileFails) {
     const CliResult res = run_cli("no_such_model.slim --validate");
     EXPECT_EQ(res.exit_code, 1);
     EXPECT_NE(res.output.find("cannot open"), std::string::npos);
+}
+
+TEST_F(CliTest, PeakRssIsTheChildsOwnNotTheForkingParents) {
+    // getrusage's ru_maxrss survives exec: a process forked while this one
+    // holds a large resident allocation would report that size as its own
+    // peak. The report's resources.peak_rss_bytes must be the child's own,
+    // so it must not grow with the parent's allocation.
+    const std::string json = "cli_peak_rss_" + std::to_string(getpid()) + ".json";
+    const std::string model = gps_file();
+    auto child_peak = [&]() -> std::size_t {
+        const pid_t pid = fork();
+        if (pid == 0) {
+            const char* argv[] = {SLIMSIM_CLI_PATH, model.c_str(), "--goal",
+                                  "gps.measurement", "--bound", "1800", "--eps", "0.1",
+                                  "--json", json.c_str(), nullptr};
+            ::execv(SLIMSIM_CLI_PATH, const_cast<char* const*>(argv));
+            ::_exit(127);
+        }
+        int status = 0;
+        EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+        const auto doc = slimsim::json::Value::parse(read_file(json));
+        std::remove(json.c_str());
+        return static_cast<std::size_t>(doc.at("resources").at("peak_rss_bytes").as_int());
+    };
+    const std::size_t alone = child_peak();
+    ASSERT_GT(alone, 0u);
+
+    constexpr std::size_t kHog = 96u << 20;
+    std::vector<char> hog(kHog, 1); // touched: resident
+    const std::size_t parent_peak = slimsim::peak_rss_bytes();
+    ASSERT_GT(parent_peak, kHog);
+    const std::size_t beside_hog = child_peak();
+    EXPECT_EQ(hog[kHog / 2], 1); // keeps the allocation alive until here
+    EXPECT_LT(beside_hog, alone + kHog / 2);
+    EXPECT_LT(beside_hog, parent_peak);
 }
 
 } // namespace

@@ -21,6 +21,11 @@ struct NamedModel {
     double bound;
 };
 
+// gtest lists a parameter by its printed value. Without this it dumps the
+// struct's raw bytes, heap pointers included, so the test names (and the ctest
+// names discovered from them) would change with every run under ASLR.
+void PrintTo(const NamedModel& m, std::ostream* os) { *os << m.name; }
+
 std::vector<NamedModel> bundled_models() {
     models::LauncherOptions recoverable;
     recoverable.recoverable_dpu = true;

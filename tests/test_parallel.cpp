@@ -7,6 +7,8 @@
 #include <string>
 #include <string_view>
 
+#include "models/launcher.hpp"
+#include "models/sensor_filter.hpp"
 #include "support/telemetry.hpp"
 
 namespace slimsim::sim {
@@ -171,6 +173,66 @@ TEST_F(ParallelTest, GoldenDeterministicViewOfCurveRuns) {
         EXPECT_EQ(res.samples, g.samples);
         EXPECT_EQ(res.points.back().successes, g.successes);
         EXPECT_EQ(fnv1a64(view), g.view_hash) << view;
+    }
+}
+
+// The runs above use a model without data flows; these pin the view on two
+// generated models whose every firing runs flows and fault injections, so a
+// change to which flows or injections apply, or to their order, moves a
+// trajectory and with it the hash.
+TEST(ParallelGolden, GoldenDeterministicViewOfGeneratedModels) {
+    models::LauncherOptions recoverable;
+    recoverable.recoverable_dpu = true;
+    struct Generated {
+        const char* name;
+        std::string source;
+        std::string goal;
+        double bound;
+        StrategyKind strategy;
+    };
+    const Generated kModels[] = {
+        {"sensor_filter_r3", models::sensor_filter_source(3), models::sensor_filter_goal(),
+         100.0 * 3600.0, StrategyKind::Asap},
+        {"launcher_rec", models::launcher_source(recoverable), models::launcher_goal(),
+         1800.0, StrategyKind::Progressive},
+    };
+    struct GeneratedRun {
+        const char* model;
+        std::uint64_t seed;
+        std::size_t workers;
+        std::uint64_t samples;
+        std::uint64_t successes;
+        std::uint64_t view_hash;
+    };
+    constexpr GeneratedRun kGolden[] = {
+        // model, seed, workers, samples, successes, view hash (CH criterion)
+        {"sensor_filter_r3", 3, 1, 2050, 597, 0xBA17AF8EF842AE4CULL},
+        {"sensor_filter_r3", 3, 3, 2052, 634, 0xD395A58648514B10ULL},
+        {"sensor_filter_r3", 17, 1, 2050, 582, 0xCC0C2043986FE7FEULL},
+        {"sensor_filter_r3", 17, 3, 2052, 574, 0x048C3BA27EB98E93ULL},
+        {"launcher_rec", 3, 1, 2050, 240, 0x877D222CE38D4AB7ULL},
+        {"launcher_rec", 3, 3, 2052, 242, 0x4F63DE688DB7D6E6ULL},
+        {"launcher_rec", 17, 1, 2050, 221, 0x9781D46D7E6F1DF2ULL},
+        {"launcher_rec", 17, 3, 2052, 227, 0x1DE5CA58E746A801ULL},
+    };
+    const stat::ChernoffHoeffding ch(0.05, 0.03);
+    for (const Generated& m : kModels) {
+        const eda::Network net = eda::build_network_from_source(m.source);
+        const TimedReachability prop = make_reachability(net.model(), m.goal, m.bound);
+        for (const GeneratedRun& g : kGolden) {
+            if (std::string_view(g.model) != m.name) continue;
+            ParallelOptions po;
+            po.workers = g.workers;
+            telemetry::RunReport report;
+            const auto res = estimate_parallel(net, prop, m.strategy, ch, g.seed, po, &report);
+            const std::string view =
+                telemetry::deterministic_view(report.to_json()).dump(2);
+            SCOPED_TRACE(std::string(m.name) + " seed " + std::to_string(g.seed) + ", " +
+                         std::to_string(g.workers) + " workers");
+            EXPECT_EQ(res.samples, g.samples);
+            EXPECT_EQ(res.successes, g.successes);
+            EXPECT_EQ(fnv1a64(view), g.view_hash) << view;
+        }
     }
 }
 

@@ -95,9 +95,7 @@ NetworkState Network::initial_state() const {
         }
         s.active[i] = a ? 1 : 0;
     }
-    apply_injections_for_current_states(s);
-    run_flows(s, legacy_scratch());
-    apply_injections_for_current_states(s);
+    settle(s, legacy_scratch());
     return s;
 }
 
@@ -118,9 +116,7 @@ NetworkState Network::forced_initial_state(
                            model_->processes[static_cast<std::size_t>(proc)].locations.size());
         s.locations[static_cast<std::size_t>(proc)] = loc;
     }
-    apply_injections_for_current_states(s);
-    run_flows(s, legacy_scratch());
-    apply_injections_for_current_states(s);
+    settle(s, legacy_scratch());
     return s;
 }
 
@@ -414,9 +410,8 @@ void Network::apply_injections_for_current_states(NetworkState& s) const {
     }
 }
 
-void Network::run_flows(NetworkState& s, SimScratch* scratch) const {
-    for (std::size_t i = 0; i < model_->flows.size(); ++i) {
-        const slim::InstFlow& f = model_->flows[i];
+void Network::run_flows(NetworkState& s) const {
+    for (const slim::InstFlow& f : model_->flows) {
         if (!s.instance_active(static_cast<std::size_t>(f.owner))) continue;
         if (f.gate_process >= 0 && !f.gate_locations.empty()) {
             const int loc = s.locations[static_cast<std::size_t>(f.gate_process)];
@@ -424,15 +419,38 @@ void Network::run_flows(NetworkState& s, SimScratch* scratch) const {
                 continue;
             }
         }
-        Value v;
-        if (scratch == nullptr) {
-            v = expr::testing::reference_evaluate(
-                *f.value, expr::EvalContext{s.values, *f.bindings});
-        } else {
-            v = cm_->flow_program(i)->run(s.values, scratch->eval);
-        }
-        write_var(*model_, s, f.target, v);
+        write_var(*model_, s, f.target,
+                  expr::testing::reference_evaluate(
+                      *f.value, expr::EvalContext{s.values, *f.bindings}));
     }
+}
+
+void Network::settle(NetworkState& s, SimScratch* scratch) const {
+    // Injected failure values must both feed the data flows (a failed
+    // sensor's wrong reading propagates downstream) and override flows into
+    // injected targets (a failed filter's zero output wins over its own
+    // flow), hence the inject / flow / inject sandwich.
+    if (scratch == nullptr) {
+        apply_injections_for_current_states(s);
+        run_flows(s);
+        apply_injections_for_current_states(s);
+        return;
+    }
+    // The interned configuration lists exactly the injections and flows the
+    // full sweeps above would apply, in the same order.
+    const InternedConfig& cfg = scratch->interner.intern(s, *cm_);
+    const auto inject = [&] {
+        for (const std::uint32_t i : cfg.injections) {
+            const slim::Injection& inj = model_->injections[i];
+            s.values[inj.target] = inj.value;
+        }
+    };
+    inject();
+    for (const std::uint32_t i : cfg.flows) {
+        write_var(*model_, s, model_->flows[i].target,
+                  cm_->flow_program(i)->run(s.values, scratch->eval));
+    }
+    inject();
 }
 
 /// Fires one transition in isolation: effects evaluated against the current
@@ -557,13 +575,7 @@ StepInfo Network::apply_firing_impl(NetworkState& s,
         }
     }
     recompute_activation(s, &info, scratch);
-    // Injected failure values must both feed the data flows (a failed
-    // sensor's wrong reading propagates downstream) and override flows into
-    // injected targets (a failed filter's zero output wins over its own
-    // flow), hence the inject / flow / inject sandwich.
-    apply_injections_for_current_states(s);
-    run_flows(s, scratch);
-    apply_injections_for_current_states(s);
+    settle(s, scratch);
     return info;
 }
 

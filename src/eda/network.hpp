@@ -231,7 +231,9 @@ private:
                               SimScratch* scratch) const;
     void fire_trigger_class(NetworkState& s, std::size_t instance, slim::TriggerClass tc,
                             StepInfo* info, SimScratch* scratch) const;
-    void run_flows(NetworkState& s, SimScratch* scratch) const;
+    /// Inject / flow / inject after the locations and activation are final.
+    void settle(NetworkState& s, SimScratch* scratch) const;
+    void run_flows(NetworkState& s) const;
     void apply_injections_for_current_states(NetworkState& s) const;
     void fire_one(NetworkState& s, ProcessId p, int t, StepInfo* info,
                   SimScratch* scratch) const;

@@ -441,7 +441,6 @@ EstimationResult estimate_parallel(const eda::Network& net,
             // instance of the same kind (strategies are stateless) and with
             // instruments stripped, so replay does not double-count telemetry.
             SimOptions replay_options = options.sim;
-            replay_options.recorder = nullptr;
             replay_options.trace_lane = nullptr;
             replay_options.coverage = false;
             replay_options.coverage_shard = nullptr;

@@ -48,7 +48,6 @@ const std::vector<std::string>& report_family_names() {
         "slimsim_workers",
         "slimsim_wall_seconds",
         "slimsim_phase_seconds",
-        "slimsim_timer_seconds_total",
         "slimsim_counter_total",
         "slimsim_histogram_events_total",
         "slimsim_collector_rounds_total",
@@ -186,12 +185,6 @@ std::string prometheus_text(const RunReport& report, const metrics::Registry* li
     if (!report.phases.empty()) {
         x.family("slimsim_phase_seconds", "gauge");
         for (const auto& p : report.phases) x.sample(label("phase", p.name), json::format_double(p.seconds));
-    }
-    if (!report.timers.empty()) {
-        x.family("slimsim_timer_seconds_total", "counter");
-        for (const auto& [name, s] : report.timers) {
-            x.sample(label("name", name), json::format_double(s));
-        }
     }
     if (!report.counters.empty()) {
         x.family("slimsim_counter_total", "counter");

@@ -7,8 +7,8 @@
 // curve points and the coverage profile, none of which depend on wall
 // clocks; for coverage/curve runs at a fixed seed the section is
 // byte-identical for every worker count. Everything below the marker
-// (workers, wall clock, phase/timer data, recorder instruments, RSS, and
-// any appended live-registry families) is runtime- or scheduling-dependent.
+// (workers, wall clock, phase data, engine counters, RSS, and any
+// appended live-registry families) is runtime- or scheduling-dependent.
 //
 // Rendering goes through metrics::Exposition — the same writer the live
 // /metrics endpoint uses (support/metrics.hpp) — so the file and HTTP

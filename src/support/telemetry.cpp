@@ -1,79 +1,8 @@
 #include "support/telemetry.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <sstream>
-#include <tuple>
 
 namespace slimsim::telemetry {
-
-void Histogram::add(std::uint64_t value) {
-    const std::size_t bucket = value == 0 ? 0 : std::bit_width(value);
-    buckets_[std::min(bucket, kBuckets - 1)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-}
-
-std::string Histogram::bucket_label(std::size_t bucket) {
-    if (bucket == 0) return "0";
-    if (bucket == 1) return "1";
-    const std::uint64_t lo = std::uint64_t{1} << (bucket - 1);
-    const std::uint64_t hi = (std::uint64_t{1} << bucket) - 1;
-    return std::to_string(lo) + "-" + std::to_string(hi);
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> Histogram::bins() const {
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-        const std::uint64_t n = buckets_[b].load(std::memory_order_relaxed);
-        if (n > 0) out.emplace_back(bucket_label(b), n);
-    }
-    return out;
-}
-
-template <typename T>
-T& Recorder::lookup(std::deque<std::pair<std::string, T>>& registry,
-                    std::string_view name) {
-    std::lock_guard lock(mutex_);
-    for (auto& [n, instrument] : registry) {
-        if (n == name) return instrument;
-    }
-    // Instruments hold atomics (immovable): construct the pair in place.
-    registry.emplace_back(std::piecewise_construct, std::forward_as_tuple(name),
-                          std::forward_as_tuple());
-    return registry.back().second;
-}
-
-Counter& Recorder::counter(std::string_view name) { return lookup(counters_, name); }
-Timer& Recorder::timer(std::string_view name) { return lookup(timers_, name); }
-Histogram& Recorder::histogram(std::string_view name) { return lookup(histograms_, name); }
-
-std::vector<std::pair<std::string, std::uint64_t>> Recorder::counters() const {
-    std::lock_guard lock(mutex_);
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    out.reserve(counters_.size());
-    for (const auto& [name, c] : counters_) out.emplace_back(name, c.value());
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-std::vector<std::pair<std::string, double>> Recorder::timers() const {
-    std::lock_guard lock(mutex_);
-    std::vector<std::pair<std::string, double>> out;
-    out.reserve(timers_.size());
-    for (const auto& [name, t] : timers_) out.emplace_back(name, t.seconds());
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-std::vector<std::pair<std::string, const Histogram*>> Recorder::histograms() const {
-    std::lock_guard lock(mutex_);
-    std::vector<std::pair<std::string, const Histogram*>> out;
-    out.reserve(histograms_.size());
-    for (const auto& [name, h] : histograms_) out.emplace_back(name, &h);
-    std::sort(out.begin(), out.end());
-    return out;
-}
 
 namespace {
 
@@ -227,18 +156,6 @@ std::string CoverageReport::summary_text() const {
         os << "  all modes reached and all transitions fired\n";
     }
     return os.str();
-}
-
-void RunReport::absorb(const Recorder& recorder) {
-    for (const auto& entry : recorder.counters()) counters.push_back(entry);
-    std::sort(counters.begin(), counters.end());
-    for (const auto& entry : recorder.timers()) timers.push_back(entry);
-    std::sort(timers.begin(), timers.end());
-    for (const auto& [name, h] : recorder.histograms()) {
-        histograms.emplace_back(name, h->bins());
-    }
-    std::sort(histograms.begin(), histograms.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
 json::Value RunReport::to_json() const {
@@ -425,7 +342,7 @@ json::Value RunReport::to_json() const {
         doc["diagnostics"] = std::move(dg);
     }
 
-    // Recorder counters/histograms count events over *generated* paths;
+    // Engine counters/histograms count events over *generated* paths;
     // with one worker that is deterministic, with several it depends on
     // when the stop flag lands, so they move under "runtime".
     const bool shared_instruments = workers > 1;
@@ -450,11 +367,6 @@ json::Value RunReport::to_json() const {
         json::Value ph = json::Value::object();
         for (const auto& p : phases) ph[p.name] = p.seconds;
         runtime["phases"] = std::move(ph);
-    }
-    if (!timers.empty()) {
-        json::Value ts = json::Value::object();
-        for (const auto& [name, s] : timers) ts[name] = s;
-        runtime["timers"] = std::move(ts);
     }
     if (shared_instruments) {
         json::Value gen = json::Value::array();
@@ -607,9 +519,6 @@ std::string RunReport::to_text() const {
             first = false;
         }
         os << "\n";
-    }
-    for (const auto& [name, s] : timers) {
-        os << "  timer " << name << " = " << s << " s\n";
     }
     os << "  wall:       " << wall_seconds << " s\n";
     os << "  peak rss:   " << peak_rss_bytes << " bytes\n";

@@ -1,142 +1,20 @@
-// Engine telemetry: counters, timers and histograms feeding a structured,
-// machine-readable run report.
+// The structured, machine-readable run report.
 //
-// Instrumented code holds plain pointers into a Recorder; a null Recorder
-// (or a disabled one) costs one branch per event, so simulation hot paths
-// pay nearly nothing when telemetry is off. Event *counts* are
-// deterministic in (seed, workers); wall-clock data is kept in separate
+// The engine counters and histograms in it are read from the run's metrics
+// registry (support/metrics.hpp, sim::add_engine_counts). Event *counts*
+// are deterministic in (seed, workers); wall-clock data is kept in separate
 // report sections so deterministic content can be diffed across runs (see
 // RunReport::to_json and deterministic_view).
 #pragma once
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "support/json.hpp"
 
 namespace slimsim::telemetry {
-
-/// Monotonic event counter; thread-safe (relaxed increments).
-class Counter {
-public:
-    void add(std::uint64_t delta = 1) { n_.fetch_add(delta, std::memory_order_relaxed); }
-    [[nodiscard]] std::uint64_t value() const { return n_.load(std::memory_order_relaxed); }
-    void reset() { n_.store(0, std::memory_order_relaxed); }
-
-private:
-    std::atomic<std::uint64_t> n_{0};
-};
-
-/// Accumulates elapsed wall time over any number of measured sections;
-/// thread-safe.
-class Timer {
-public:
-    void record_ns(std::int64_t ns) {
-        // A caller differencing a non-steady clock can hand us a negative
-        // delta; adding it would silently unwind the accumulated total, so
-        // clamp at zero (the section still counts as one measurement).
-        total_ns_.fetch_add(std::max<std::int64_t>(ns, 0), std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
-    }
-    [[nodiscard]] double seconds() const {
-        return static_cast<double>(total_ns_.load(std::memory_order_relaxed)) * 1e-9;
-    }
-    [[nodiscard]] std::uint64_t count() const {
-        return count_.load(std::memory_order_relaxed);
-    }
-
-private:
-    std::atomic<std::int64_t> total_ns_{0};
-    std::atomic<std::uint64_t> count_{0};
-};
-
-/// RAII section timer; a null Timer makes it a no-op.
-class ScopedTimer {
-public:
-    explicit ScopedTimer(Timer* timer) : timer_(timer) {
-        if (timer_ != nullptr) start_ = std::chrono::steady_clock::now();
-    }
-    ~ScopedTimer() { stop(); }
-    ScopedTimer(const ScopedTimer&) = delete;
-    ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-    /// Records the elapsed time now instead of at destruction.
-    void stop() {
-        if (timer_ == nullptr) return;
-        timer_->record_ns(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - start_)
-                              .count());
-        timer_ = nullptr;
-    }
-
-private:
-    Timer* timer_;
-    std::chrono::steady_clock::time_point start_;
-};
-
-/// Power-of-two bucket histogram over non-negative integer values
-/// (value v lands in bucket floor(log2(v))+1; 0 in bucket 0). Thread-safe.
-class Histogram {
-public:
-    static constexpr std::size_t kBuckets = 64;
-
-    void add(std::uint64_t value);
-    [[nodiscard]] std::uint64_t count() const {
-        return count_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-
-    /// Non-empty buckets as (range label, count), smallest value first.
-    [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> bins() const;
-
-    /// Label of the bucket `value` falls into ("0", "1", "2-3", "4-7", ...).
-    [[nodiscard]] static std::string bucket_label(std::size_t bucket);
-
-private:
-    std::atomic<std::uint64_t> buckets_[kBuckets]{};
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<std::uint64_t> sum_{0};
-};
-
-/// Named instrument registry. Instruments are created on first use and live
-/// as long as the recorder; returned references stay valid as the registry
-/// grows. Lookup is meant for setup code — hot paths should resolve their
-/// instruments once and keep the pointers.
-class Recorder {
-public:
-    explicit Recorder(bool enabled = true) : enabled_(enabled) {}
-
-    [[nodiscard]] bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-    void set_enabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
-
-    [[nodiscard]] Counter& counter(std::string_view name);
-    [[nodiscard]] Timer& timer(std::string_view name);
-    [[nodiscard]] Histogram& histogram(std::string_view name);
-
-    /// Snapshots sorted by name; counters/histograms are deterministic in
-    /// (seed, workers), timers are wall-clock.
-    [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> counters() const;
-    [[nodiscard]] std::vector<std::pair<std::string, double>> timers() const;
-    [[nodiscard]] std::vector<std::pair<std::string, const Histogram*>> histograms() const;
-
-private:
-    template <typename T>
-    T& lookup(std::deque<std::pair<std::string, T>>& registry, std::string_view name);
-
-    mutable std::mutex mutex_;
-    std::atomic<bool> enabled_;
-    std::deque<std::pair<std::string, Counter>> counters_;
-    std::deque<std::pair<std::string, Timer>> timers_;
-    std::deque<std::pair<std::string, Histogram>> histograms_;
-};
 
 /// One named phase of an analysis (parse, instantiate, simulate, ...).
 struct Phase {
@@ -388,12 +266,8 @@ struct RunReport {
         histograms;
 
     std::vector<Phase> phases; // wall-clock phase breakdown
-    std::vector<std::pair<std::string, double>> timers;
     double wall_seconds = 0.0;
     std::uint64_t peak_rss_bytes = 0;
-
-    /// Pulls counter/timer/histogram snapshots out of `recorder`.
-    void absorb(const Recorder& recorder);
 
     /// The versioned JSON document (schema: docs/run-report.md).
     [[nodiscard]] json::Value to_json() const;

@@ -1,5 +1,6 @@
 #include "bench_main.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -19,28 +20,6 @@ json::Value Timing::to_json() const {
     return v;
 }
 
-Timing measure(const std::function<void()>& fn, int reps, int warmup) {
-    for (int i = 0; i < warmup; ++i) fn();
-    Timing t;
-    if (reps < 1) reps = 1;
-    t.seconds.reserve(static_cast<std::size_t>(reps));
-    for (int i = 0; i < reps; ++i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        t.seconds.push_back(std::chrono::duration<double>(t1 - t0).count());
-    }
-    t.min_seconds = t.max_seconds = t.seconds.front();
-    double total = 0.0;
-    for (const double s : t.seconds) {
-        if (s < t.min_seconds) t.min_seconds = s;
-        if (s > t.max_seconds) t.max_seconds = s;
-        total += s;
-    }
-    t.mean_seconds = total / static_cast<double>(t.seconds.size());
-    return t;
-}
-
 namespace {
 
 void finalize(Timing& t) {
@@ -54,7 +33,23 @@ void finalize(Timing& t) {
     t.mean_seconds = total / static_cast<double>(t.seconds.size());
 }
 
+double time_once(const std::function<void()>& fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
 } // namespace
+
+Timing measure(const std::function<void()>& fn, int reps, int warmup) {
+    for (int i = 0; i < warmup; ++i) fn();
+    Timing t;
+    if (reps < 1) reps = 1;
+    t.seconds.reserve(static_cast<std::size_t>(reps));
+    for (int i = 0; i < reps; ++i) t.seconds.push_back(time_once(fn));
+    finalize(t);
+    return t;
+}
 
 std::pair<Timing, Timing> measure_interleaved(const std::function<void()>& a,
                                               const std::function<void()>& b, int reps,
@@ -69,17 +64,33 @@ std::pair<Timing, Timing> measure_interleaved(const std::function<void()>& a,
     ta.seconds.reserve(static_cast<std::size_t>(reps));
     tb.seconds.reserve(static_cast<std::size_t>(reps));
     for (int i = 0; i < reps; ++i) {
-        for (const bool second : {false, true}) {
-            const auto t0 = std::chrono::steady_clock::now();
-            (second ? b : a)();
-            const auto t1 = std::chrono::steady_clock::now();
-            (second ? tb : ta)
-                .seconds.push_back(std::chrono::duration<double>(t1 - t0).count());
+        // Alternate which side goes first, so an order effect (warm
+        // caches, allocator state, frequency steps) lands on both sides.
+        if (i % 2 == 0) {
+            ta.seconds.push_back(time_once(a));
+            tb.seconds.push_back(time_once(b));
+        } else {
+            tb.seconds.push_back(time_once(b));
+            ta.seconds.push_back(time_once(a));
         }
     }
     finalize(ta);
     finalize(tb);
     return {std::move(ta), std::move(tb)};
+}
+
+double paired_median_overhead_percent(const Timing& base, const Timing& treated) {
+    std::vector<double> ratios;
+    const std::size_t pairs = std::min(base.seconds.size(), treated.seconds.size());
+    for (std::size_t i = 0; i < pairs; ++i) {
+        ratios.push_back(treated.seconds[i] / base.seconds[i]);
+    }
+    if (ratios.empty()) return 0.0;
+    std::sort(ratios.begin(), ratios.end());
+    const std::size_t mid = ratios.size() / 2;
+    const double median = ratios.size() % 2 == 1 ? ratios[mid]
+                                                 : (ratios[mid - 1] + ratios[mid]) / 2.0;
+    return (median - 1.0) * 100.0;
 }
 
 Report::Report(std::string name) : name_(std::move(name)) {

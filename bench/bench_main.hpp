@@ -33,13 +33,21 @@ struct Timing {
 [[nodiscard]] Timing measure(const std::function<void()>& fn, int reps = 3,
                              int warmup = 1);
 
-/// Times two workloads with their repetitions interleaved (a, b, a, b, ...)
-/// so slow drift of the host (thermal, co-tenants) biases both the same
-/// way. Use when the *ratio* of the two timings is the reported result,
-/// e.g. an instrumentation-overhead bound.
+/// Times two workloads with their repetitions interleaved in pairs (a b,
+/// b a, a b, ...) so slow drift of the host (thermal, co-tenants) biases
+/// both the same way and neither side always runs first. Use when the
+/// *ratio* of the two timings is the reported result, e.g. an
+/// instrumentation-overhead bound. seconds[i] of both results form pair i.
 [[nodiscard]] std::pair<Timing, Timing>
 measure_interleaved(const std::function<void()>& a, const std::function<void()>& b,
                     int reps = 3, int warmup = 1);
+
+/// The overhead of `treated` over `base` in percent, as the median over
+/// the pairs of measure_interleaved of treated/base - 1. Unlike a ratio of
+/// minimums, one lucky or unlucky repetition on either side cannot move
+/// it, which matters for short runs on a shared host.
+[[nodiscard]] double paired_median_overhead_percent(const Timing& base,
+                                                    const Timing& treated);
 
 /// Accumulates one bench binary's results and writes BENCH_<name>.json on
 /// write() (or from the destructor if never written). The document is

@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 
+#include "models/failover.hpp"
 #include "models/launcher.hpp"
 #include "models/sensor_filter.hpp"
 #include "support/telemetry.hpp"
@@ -176,13 +177,16 @@ TEST_F(ParallelTest, GoldenDeterministicViewOfCurveRuns) {
     }
 }
 
-// The runs above use a model without data flows; these pin the view on two
+// The runs above use a model without data flows; these pin the view on
 // generated models whose every firing runs flows and fault injections, so a
 // change to which flows or injections apply, or to their order, moves a
-// trajectory and with it the hash.
+// trajectory and with it the hash. The fail-over model is the only one with
+// unary (`not broken`) and literal (`false`) flows.
 TEST(ParallelGolden, GoldenDeterministicViewOfGeneratedModels) {
     models::LauncherOptions recoverable;
     recoverable.recoverable_dpu = true;
+    models::FailoverOptions failover;
+    failover.pump_fail_per_hour = 0.003;
     struct Generated {
         const char* name;
         std::string source;
@@ -195,6 +199,8 @@ TEST(ParallelGolden, GoldenDeterministicViewOfGeneratedModels) {
          100.0 * 3600.0, StrategyKind::Asap},
         {"launcher_rec", models::launcher_source(recoverable), models::launcher_goal(),
          1800.0, StrategyKind::Progressive},
+        {"failover", models::failover_source(failover), models::failover_goal(),
+         200.0 * 3600.0, StrategyKind::Asap},
     };
     struct GeneratedRun {
         const char* model;
@@ -214,6 +220,10 @@ TEST(ParallelGolden, GoldenDeterministicViewOfGeneratedModels) {
         {"launcher_rec", 3, 3, 2052, 242, 0x4F63DE688DB7D6E6ULL},
         {"launcher_rec", 17, 1, 2050, 221, 0x9781D46D7E6F1DF2ULL},
         {"launcher_rec", 17, 3, 2052, 227, 0x1DE5CA58E746A801ULL},
+        {"failover", 3, 1, 2050, 404, 0x0ACBE3DE0279E468ULL},
+        {"failover", 3, 3, 2052, 420, 0x25B93CB5E478739DULL},
+        {"failover", 17, 1, 2050, 389, 0x9BDCF316DF75CFC1ULL},
+        {"failover", 17, 3, 2052, 384, 0x779937E904403CD7ULL},
     };
     const stat::ChernoffHoeffding ch(0.05, 0.03);
     for (const Generated& m : kModels) {

@@ -9,6 +9,7 @@
 
 #include "expr/eval.hpp"
 #include "models/gps.hpp"
+#include "models/launcher.hpp"
 #include "models/sensor_filter.hpp"
 #include "sim/runner.hpp"
 #include "slim/parser.hpp"
@@ -91,6 +92,24 @@ void BM_SensorFilterPath(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SensorFilterPath)->Arg(1)->Arg(2)->Arg(4);
+
+// The Fig. 5 launcher (recoverable DPU) at its 120 min mission: the hybrid
+// model whose every firing runs ~41 data flows, so settle carries each step.
+void BM_LauncherPath(benchmark::State& state) {
+    models::LauncherOptions opt;
+    opt.recoverable_dpu = true;
+    const eda::Network net = eda::build_network_from_source(models::launcher_source(opt));
+    const sim::TimedReachability prop =
+        sim::make_reachability(net.model(), models::launcher_goal(), 120.0 * 60.0);
+    const auto strat = sim::make_strategy(sim::StrategyKind::Progressive);
+    const sim::PathGenerator gen(net, prop, *strat);
+    Rng rng(1);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(gen.run(rng));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LauncherPath);
 
 // --- interpreter vs compiled paths/sec --------------------------------------
 //

@@ -241,9 +241,24 @@ CompiledModel::CompiledModel(std::shared_ptr<const InstanceModel> model)
         processes_.push_back(std::move(cp));
     }
 
+    stores_.reserve(model_->vars.size());
+    for (const auto& v : model_->vars) {
+        VarStore& st = stores_.emplace_back();
+        st.index = static_cast<std::uint8_t>(Value::default_for(v.type).index());
+        if (v.type.is_int() && v.type.lo) {
+            st.lo = *v.type.lo;
+            st.hi = *v.type.hi;
+        }
+    }
     flows_.reserve(model_->flows.size());
     for (const slim::InstFlow& f : model_->flows) {
-        flows_.push_back(lower(f.value, *f.bindings));
+        CompiledFlow& cf = flows_.emplace_back();
+        cf.program = lower(f.value, *f.bindings);
+        cf.target = f.target;
+        const auto& nodes = cf.program->nodes();
+        if (nodes.size() == 1 && nodes[0].kind == expr::ExprKind::Var) {
+            cf.source = nodes[0].payload;
+        }
     }
 
     content_hash_ = model_content_hash(*model_);

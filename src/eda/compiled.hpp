@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -84,6 +85,29 @@ struct CompiledProcess {
     std::vector<CompiledTransition> transitions;
 };
 
+/// How a write into one variable stores its value, resolved at compile time:
+/// the Value representation the variable's type holds and its int range. A
+/// value that already has that representation and lies in the range is
+/// stored as is; anything else takes the coercing, range-checking path.
+struct VarStore {
+    std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+    std::uint8_t index = 0; // Value::index() of the representation
+
+    [[nodiscard]] bool holds(const Value& v) const {
+        return v.index() == index && (index != 1 || (v.as_int() >= lo && v.as_int() <= hi));
+    }
+};
+
+/// A data flow with its right-hand side compiled. `source` is the global
+/// variable a copy flow (bare-variable right-hand side) reads, else kNoSource.
+struct CompiledFlow {
+    static constexpr VarId kNoSource = std::numeric_limits<VarId>::max();
+    expr::ProgramPtr program;
+    VarId target = 0;
+    VarId source = kNoSource;
+};
+
 /// Compile-time statistics (deterministic; surfaced by --compile-stats and
 /// the run report's compiled_model section).
 struct CompileStats {
@@ -108,11 +132,11 @@ public:
     [[nodiscard]] const CompiledProcess& process(ProcessId p) const {
         return processes_[static_cast<std::size_t>(p)];
     }
-    /// Program of InstanceModel::flows[i] (same indexing; gating metadata
+    /// InstanceModel::flows[i] compiled (same indexing; gating metadata
     /// stays on the InstFlow).
-    [[nodiscard]] const expr::ProgramPtr& flow_program(std::size_t i) const {
-        return flows_[i];
-    }
+    [[nodiscard]] const CompiledFlow& flow(std::size_t i) const { return flows_[i]; }
+    /// Store of global variable `var` (every flow and effect target).
+    [[nodiscard]] const VarStore& store(VarId var) const { return stores_[var]; }
 
     [[nodiscard]] const CompileStats& stats() const { return stats_; }
 
@@ -125,7 +149,8 @@ public:
 private:
     std::shared_ptr<const InstanceModel> model_;
     std::vector<CompiledProcess> processes_;
-    std::vector<expr::ProgramPtr> flows_;
+    std::vector<CompiledFlow> flows_;
+    std::vector<VarStore> stores_; // per global variable
     CompileStats stats_;
     std::uint64_t content_hash_ = 0;
 };

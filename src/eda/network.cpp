@@ -400,6 +400,30 @@ void write_var(const InstanceModel& m, NetworkState& s, VarId var, const Value& 
     s.values[var] = v;
 }
 
+/// Writes through the variable's compile-time store: a value that already
+/// has the variable's representation and range is stored as is (exactly
+/// what write_var would store); anything else goes through write_var.
+void store(const CompiledModel& cm, NetworkState& s, VarId var, const Value& v) {
+    if (cm.store(var).holds(v)) {
+        s.values[var] = v;
+    } else {
+        write_var(cm.model(), s, var, v);
+    }
+}
+
+/// Applies pre-evaluated effect writes in order: through the stores on the
+/// compiled path, through write_var in reference mode.
+void apply_writes(const CompiledModel& cm, NetworkState& s,
+                  std::span<const std::pair<VarId, Value>> writes, bool compiled) {
+    for (const auto& [var, val] : writes) {
+        if (compiled) {
+            store(cm, s, var, val);
+        } else {
+            write_var(cm.model(), s, var, val);
+        }
+    }
+}
+
 } // namespace
 
 void Network::apply_injections_for_current_states(NetworkState& s) const {
@@ -447,8 +471,12 @@ void Network::settle(NetworkState& s, SimScratch* scratch) const {
     };
     inject();
     for (const std::uint32_t i : cfg.flows) {
-        write_var(*model_, s, model_->flows[i].target,
-                  cm_->flow_program(i)->run(s.values, scratch->eval));
+        const CompiledFlow& f = cm_->flow(i);
+        if (f.source != CompiledFlow::kNoSource) {
+            store(*cm_, s, f.target, s.values[f.source]);
+        } else {
+            store(*cm_, s, f.target, f.program->run(s.values, scratch->eval));
+        }
     }
     inject();
 }
@@ -480,7 +508,7 @@ void Network::fire_one(NetworkState& s, ProcessId p, int t, StepInfo* info,
     }
     s.locations[static_cast<std::size_t>(p)] = tr.dst;
     s.values[proc.timer] = Value(0.0);
-    for (const auto& [var, val] : writes) write_var(*model_, s, var, val);
+    apply_writes(*cm_, s, writes, scratch != nullptr);
     if (proc.is_error && tr.dst != old_loc) {
         for (const slim::Injection& inj : model_->injections) {
             if (inj.process == p && inj.state == old_loc) s.values[inj.target] = inj.restore;
@@ -568,7 +596,7 @@ StepInfo Network::apply_firing_impl(NetworkState& s,
         if (proc.is_error && tr.dst != old_loc) left.emplace_back(p, old_loc);
         info.fired.emplace_back(p, t);
     }
-    for (const auto& [var, val] : writes) write_var(*model_, s, var, val);
+    apply_writes(*cm_, s, writes, scratch != nullptr);
     for (const auto& [p, old_loc] : left) {
         for (const slim::Injection& inj : model_->injections) {
             if (inj.process == p && inj.state == old_loc) s.values[inj.target] = inj.restore;

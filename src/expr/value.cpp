@@ -2,7 +2,8 @@
 
 #include <charconv>
 #include <cmath>
-#include <functional>
+
+#include "support/hash.hpp"
 
 namespace slimsim {
 
@@ -57,8 +58,9 @@ std::string Value::to_string() const {
 
 std::size_t Value::hash() const {
     if (is_bool()) return as_bool() ? 0x9E3779B9u : 0x85EBCA6Bu;
-    if (is_int()) return std::hash<std::int64_t>{}(as_int());
-    return std::hash<double>{}(as_real());
+    // Numerics compare as reals, so they hash as reals: 1 and 1.0 alike.
+    // Adding +0.0 turns -0.0 into +0.0, which compares equal to it.
+    return static_cast<std::size_t>(double_bits(as_real() + 0.0));
 }
 
 } // namespace slimsim

@@ -25,6 +25,8 @@ public:
     [[nodiscard]] bool is_int() const { return std::holds_alternative<std::int64_t>(v_); }
     [[nodiscard]] bool is_real() const { return std::holds_alternative<double>(v_); }
     [[nodiscard]] bool is_numeric() const { return !is_bool(); }
+    /// The representation held: 0 bool, 1 int, 2 real.
+    [[nodiscard]] std::size_t index() const { return v_.index(); }
 
     [[nodiscard]] bool as_bool() const {
         SLIMSIM_ASSERT(is_bool());
@@ -50,7 +52,8 @@ public:
 
     [[nodiscard]] std::string to_string() const;
 
-    /// Hash combining used by the explicit state-space builder.
+    /// Hash consistent with operator==: equal values hash alike (1 and 1.0,
+    /// -0.0 and +0.0). Used by the explicit state-space builder.
     [[nodiscard]] std::size_t hash() const;
 
 private:

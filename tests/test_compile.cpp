@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <tuple>
 
@@ -494,6 +495,114 @@ TEST(StateInterner, BindingAnotherModelEmptiesTheTable) {
     EXPECT_EQ(scratch.interner.size(), 0u);
     const eda::NetworkState s = b.initial_state();
     expect_same_config(view_of(scratch.interner.intern(s, *b.compiled())), recompute(b, s));
+}
+
+// --- typed stores -------------------------------------------------------------
+
+/// One store case each: an int[0..20] -> real copy flow (falls back and
+/// stores a double), a real -> int computed flow (truncates toward zero), an
+/// int[0..20] -> int[0..5] copy flow whose source leaves the target's range
+/// on the sixth firing, and an effect writing an int expression into a real.
+constexpr const char* kStoreModel = R"(
+    root S.I;
+    system S
+    features
+      count: out data port int [0..20] default 0;
+      level: out data port real default 2.75;
+      widened: out data port real default 0.5;
+      truncated: out data port int default 0;
+      narrow: out data port int [0..5] default 0;
+      scaled: out data port real default 0.5;
+    end S;
+    system implementation S.I
+    flows
+      widened := count;
+      truncated := level * count;
+      narrow := count;
+    modes a: initial mode;
+    transitions
+      a -[when @timer >= 1 sec
+          then count := count + 1; level := 0 - level; scaled := count * 3]-> a;
+    end S.I;
+)";
+
+/// Equal representation and equal bits (operator== equates 1 and 1.0).
+bool same_value(const Value& a, const Value& b) {
+    if (a.index() != b.index()) return false;
+    return a.is_real() ? double_bits(a.as_real()) == double_bits(b.as_real()) : a == b;
+}
+
+TEST(TypedStore, EdgeCasesMatchInterpreter) {
+    const eda::Network compiled(compile_source(kStoreModel, "store.slim"));
+    eda::Network reference(compiled.compiled());
+    reference.set_reference_interpreter(true);
+    const slim::InstanceModel& m = compiled.model();
+    const eda::CompiledModel& cm = *compiled.compiled();
+    const VarId count = m.var("count");
+    const VarId level = m.var("level");
+    const VarId widened = m.var("widened");
+    const VarId truncated = m.var("truncated");
+    const VarId narrow = m.var("narrow");
+    const VarId scaled = m.var("scaled");
+
+    // Copy flows read their source directly; the computed flow runs its program.
+    ASSERT_EQ(m.flows.size(), 3u);
+    EXPECT_EQ(cm.flow(0).source, count);
+    EXPECT_EQ(cm.flow(1).source, eda::CompiledFlow::kNoSource);
+    EXPECT_EQ(cm.flow(2).source, count);
+    EXPECT_EQ(cm.store(narrow).lo, 0);
+    EXPECT_EQ(cm.store(narrow).hi, 5);
+    EXPECT_EQ(cm.store(widened).index, Value(0.0).index());
+
+    eda::SimScratch scratch;
+    eda::NetworkState fast = compiled.initial_state();
+    eda::NetworkState slow = reference.initial_state();
+    Rng fast_rng(1);
+    Rng slow_rng(1);
+    for (std::int64_t k = 1; k <= 5; ++k) {
+        const std::span<const eda::Candidate> cands = compiled.candidates(fast, 10.0, scratch);
+        ASSERT_EQ(cands.size(), 1u);
+        const eda::Candidate c = cands[0];
+        compiled.elapse(fast, 1.0);
+        reference.elapse(slow, 1.0);
+        (void)compiled.execute(fast, c, fast_rng, scratch);
+        (void)reference.execute(slow, c, slow_rng);
+        SCOPED_TRACE("firing " + std::to_string(k));
+        for (std::size_t v = 0; v < fast.values.size(); ++v) {
+            EXPECT_TRUE(same_value(fast.values[v], slow.values[v]))
+                << m.vars[v].full_name << ": " << fast.values[v].to_string() << " vs "
+                << slow.values[v].to_string();
+        }
+        const double lvl = (k % 2 == 0 ? 2.75 : -2.75);
+        EXPECT_TRUE(same_value(fast.values[count], Value(k)));
+        EXPECT_TRUE(same_value(fast.values[level], Value(lvl)));
+        EXPECT_TRUE(same_value(fast.values[widened], Value(static_cast<double>(k))));
+        EXPECT_TRUE(same_value(fast.values[truncated],
+                               Value(static_cast<std::int64_t>(std::trunc(lvl * k)))));
+        EXPECT_TRUE(same_value(fast.values[narrow], Value(k)));
+        // The effect reads the pre-state count.
+        EXPECT_TRUE(same_value(fast.values[scaled], Value(static_cast<double>(3 * (k - 1)))));
+    }
+
+    // The sixth firing copies 6 into narrow: both engines throw the same text.
+    const std::span<const eda::Candidate> cands = compiled.candidates(fast, 10.0, scratch);
+    ASSERT_EQ(cands.size(), 1u);
+    const eda::Candidate c = cands[0];
+    compiled.elapse(fast, 1.0);
+    reference.elapse(slow, 1.0);
+    const auto message = [](const auto& fire) -> std::string {
+        try {
+            fire();
+        } catch (const Error& e) {
+            return e.what();
+        }
+        return "no error";
+    };
+    const std::string fast_error =
+        message([&] { (void)compiled.execute(fast, c, fast_rng, scratch); });
+    const std::string slow_error = message([&] { (void)reference.execute(slow, c, slow_rng); });
+    EXPECT_EQ(fast_error, "assignment of 6 to `narrow` violates its range int[0..5]");
+    EXPECT_EQ(fast_error, slow_error);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "ctmc/state_space.hpp"
 #include "expr/eval.hpp"
 #include "models/gps.hpp"
 #include "models/launcher.hpp"
@@ -92,6 +93,24 @@ void BM_SensorFilterPath(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SensorFilterPath)->Arg(1)->Arg(2)->Arg(4);
+
+// The exhaustive CTMC leg of Table I: one full state-space exploration per
+// iteration (items are IMC states).
+void BM_CtmcBuild(benchmark::State& state) {
+    const int r = static_cast<int>(state.range(0));
+    const eda::Network net =
+        eda::build_network_from_source(models::sensor_filter_source(r));
+    const sim::TimedReachability prop = sim::make_reachability(
+        net.model(), models::sensor_filter_goal(), 100.0 * 3600.0);
+    std::size_t states = 0;
+    for (auto _ : state) {
+        const ctmc::Imc imc = ctmc::build_state_space(net, *prop.goal);
+        states += imc.states.size();
+        benchmark::DoNotOptimize(imc.initial);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(states));
+}
+BENCHMARK(BM_CtmcBuild)->Arg(5)->Arg(6);
 
 // The Fig. 5 launcher (recoverable DPU) at its 120 min mission: the hybrid
 // model whose every firing runs ~41 data flows, so settle carries each step.

@@ -61,11 +61,15 @@ int main(int argc, char** argv) {
             const sim::TimedReachability prop =
                 sim::make_reachability(net.model(), models::sensor_filter_goal(), u);
 
+            // ctmc-MiB is the flow's peak growth: its high-water mark minus
+            // the RSS before it (the RSS after it returns counts only what it
+            // leaves behind). The mark is process-wide; R only increases, so
+            // it follows the largest build.
             const std::size_t rss_before_ctmc = current_rss_bytes();
             const ctmc::FlowResult exact = ctmc::run_ctmc_flow(net, *prop.goal, u);
-            const std::size_t rss_after_ctmc = current_rss_bytes();
-            const double ctmc_mib = bytes_to_mib(
-                rss_after_ctmc > rss_before_ctmc ? rss_after_ctmc - rss_before_ctmc : 0);
+            const double ctmc_mib = bytes_to_mib(exact.peak_rss_bytes > rss_before_ctmc
+                                                     ? exact.peak_rss_bytes - rss_before_ctmc
+                                                     : 0);
 
             const std::size_t rss_before_sim = current_rss_bytes();
             // ASAP matches the maximal-progress semantics of the CTMC

@@ -1,8 +1,14 @@
 #include "ctmc/state_space.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
+#include <deque>
 #include <limits>
-#include <unordered_map>
+
+#include "expr/compile.hpp"
+#include "support/flat_index.hpp"
+#include "support/hash.hpp"
 
 namespace slimsim::ctmc {
 
@@ -49,26 +55,52 @@ void ensure_untimed(const eda::Network& net, const expr::Expr& goal) {
 
 namespace {
 
-/// Discrete key extraction: locations + non-timed values + activation.
-class KeyMaker {
+/// Packs a state's discrete projection (locations, non-timed values,
+/// activation) into a fixed number of words; two packings are equal exactly
+/// when the states' eda::DiscreteKeys are. Layout: the locations as int32
+/// pairs; one word per non-timed variable, holding the bits of
+/// `as_real() + 0.0` for a numeric (the `+ 0.0` merges -0.0 with +0.0, as
+/// Value::operator== does) or 0/1 for a bool; one mask bit per such
+/// variable that holds a bool, so `true` and `1` stay distinct; then the
+/// activation bytes.
+class KeyPacker {
 public:
-    explicit KeyMaker(const slim::InstanceModel& m) {
+    explicit KeyPacker(const slim::InstanceModel& m)
+        : location_words_((m.processes.size() + 1) / 2),
+          active_words_((m.instances.size() + 7) / 8) {
         for (VarId v = 0; v < m.vars.size(); ++v) {
             if (!m.vars[v].type.is_timed()) discrete_vars_.push_back(v);
         }
+        mask_words_ = (discrete_vars_.size() + 63) / 64;
     }
 
-    [[nodiscard]] eda::DiscreteKey key_of(const eda::NetworkState& s) const {
-        eda::DiscreteKey k;
-        k.locations = s.locations;
-        k.values.reserve(discrete_vars_.size());
-        for (const VarId v : discrete_vars_) k.values.push_back(s.values[v]);
-        k.active = s.active;
-        return k;
+    [[nodiscard]] std::size_t words() const {
+        return location_words_ + discrete_vars_.size() + mask_words_ + active_words_;
+    }
+
+    void pack(const eda::NetworkState& s, std::uint64_t* out) const {
+        static_assert(sizeof(int) == sizeof(std::int32_t));
+        std::fill_n(out, words(), 0);
+        std::memcpy(out, s.locations.data(), s.locations.size() * sizeof(int));
+        std::uint64_t* values = out + location_words_;
+        std::uint64_t* mask = values + discrete_vars_.size();
+        for (std::size_t i = 0; i < discrete_vars_.size(); ++i) {
+            const Value& v = s.values[discrete_vars_[i]];
+            if (v.is_bool()) {
+                values[i] = v.as_bool() ? 1 : 0;
+                mask[i / 64] |= std::uint64_t{1} << (i % 64);
+            } else {
+                values[i] = double_bits(v.as_real() + 0.0);
+            }
+        }
+        std::memcpy(mask + mask_words_, s.active.data(), s.active.size());
     }
 
 private:
     std::vector<VarId> discrete_vars_;
+    std::size_t location_words_;
+    std::size_t mask_words_ = 0;
+    std::size_t active_words_;
 };
 
 } // namespace
@@ -78,60 +110,78 @@ Imc build_state_space(const eda::Network& net, const expr::Expr& goal,
     const auto start = std::chrono::steady_clock::now();
     ensure_untimed(net, goal);
 
-    const KeyMaker keys(net.model());
-    std::unordered_map<eda::DiscreteKey, StateId, eda::DiscreteKeyHash> index;
-    std::vector<eda::NetworkState> frontier; // state per IMC state, by id
+    const KeyPacker packer(net.model());
+    const std::size_t width = packer.words();
+    std::vector<std::uint64_t> keys;   // `width` words per IMC state, by id
+    std::vector<std::uint64_t> hashes; // hash_words of each state's key
+    std::vector<std::uint64_t> probe(width);
+    FlatIndex index;
+    // Discovered but unprocessed states, in id order (breadth-first). A
+    // deque keeps references to its elements valid under push_back.
+    std::deque<eda::NetworkState> frontier;
+    eda::SimScratch scratch;
     Imc imc;
 
-    auto intern = [&](eda::NetworkState&& s) -> StateId {
-        eda::DiscreteKey k = keys.key_of(s);
-        if (const auto it = index.find(k); it != index.end()) return it->second;
+    auto intern = [&](const eda::NetworkState& s) -> StateId {
+        packer.pack(s, probe.data());
+        const std::uint64_t h = hash_words(probe.data(), width);
+        const std::uint32_t found = index.find(h, [&](std::uint32_t i) {
+            return hashes[i] == h && std::memcmp(keys.data() + i * width, probe.data(),
+                                                 width * sizeof(std::uint64_t)) == 0;
+        });
+        if (found != FlatIndex::kNone) return found;
         const auto id = static_cast<StateId>(imc.states.size());
         if (imc.states.size() >= options.max_states) {
             throw Error("state space exceeds " + std::to_string(options.max_states) +
                         " states");
         }
-        index.emplace(std::move(k), id);
+        keys.insert(keys.end(), probe.begin(), probe.end());
+        hashes.push_back(h);
+        index.insert(h, id, [&](std::uint32_t i) { return hashes[i]; });
         imc.states.emplace_back();
-        frontier.push_back(std::move(s));
+        frontier.push_back(s);
         return id;
     };
 
-    imc.initial = intern(net.initial_state());
+    imc.initial = intern(net.initial_state(scratch));
 
+    const expr::ProgramPtr goal_program = expr::compile(goal, {});
+    std::vector<eda::Candidate> cands;
+    std::vector<std::pair<eda::ProcessId, int>> firing;
+    eda::NetworkState succ; // successor buffer; copied into the frontier only when new
     std::size_t transition_count = 0;
-    for (StateId id = 0; id < imc.states.size(); ++id) {
-        const eda::NetworkState s = frontier[id]; // copy: frontier grows below
+    for (StateId id = 0; id < imc.states.size(); ++id, frontier.pop_front()) {
+        const eda::NetworkState& s = frontier.front(); // state `id`
         ImcState st;
-        if (net.eval_global(s, goal)) {
+        if (goal_program->run_bool(s.values, scratch.eval)) {
             st.goal = true; // absorbing
             imc.states[id] = std::move(st);
             continue;
         }
-        const std::vector<eda::Candidate> cands = net.candidates(s, kInf);
+        const auto enabled = net.candidates(s, kInf, scratch);
+        cands.assign(enabled.begin(), enabled.end());
         if (!cands.empty()) {
             // Maximal progress: immediate steps preempt Markovian ones;
             // the candidate and its sub-choices are resolved equiprobably.
             st.vanishing = true;
             const double cand_prob = 1.0 / static_cast<double>(cands.size());
             for (const auto& c : cands) {
-                for (const auto& move : net.resolve_moves(s, c)) {
-                    eda::NetworkState succ = s;
-                    net.apply_firing(succ, move.firing);
-                    st.immediate.emplace_back(intern(std::move(succ)),
-                                              cand_prob * move.probability);
+                for (const auto& move : net.resolve_moves(s, c, scratch)) {
+                    succ = s;
+                    net.apply_firing(succ, move.firing, scratch);
+                    st.immediate.emplace_back(intern(succ), cand_prob * move.probability);
                 }
             }
         } else {
-            for (const auto& [proc, total] : net.markovian_rates(s)) {
-                (void)total;
-                const auto& p = net.model().processes[static_cast<std::size_t>(proc)];
-                for (const int t : net.outgoing(s, proc)) {
+            for (const eda::MarkovianRate& m : net.markovian_rates(s, scratch)) {
+                const auto& p = net.model().processes[static_cast<std::size_t>(m.process)];
+                for (const int t : net.outgoing(s, m.process)) {
                     const double rate = p.transitions[static_cast<std::size_t>(t)].rate;
                     if (rate <= 0.0) continue;
-                    eda::NetworkState succ = s;
-                    net.apply_firing(succ, {{proc, t}});
-                    st.markovian.emplace_back(intern(std::move(succ)), rate);
+                    succ = s;
+                    firing.assign(1, {m.process, t});
+                    net.apply_firing(succ, firing, scratch);
+                    st.markovian.emplace_back(intern(succ), rate);
                 }
             }
         }

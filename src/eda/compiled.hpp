@@ -27,6 +27,7 @@
 #include "eda/state.hpp"
 #include "expr/compile.hpp"
 #include "slim/instantiate.hpp"
+#include "support/flat_index.hpp"
 #include "support/intervals.hpp"
 
 namespace slimsim::eda {
@@ -215,7 +216,7 @@ public:
     void clear();
 
 private:
-    static constexpr std::uint32_t kNone = 0xffffffffu;
+    static constexpr std::uint32_t kNone = FlatIndex::kNone;
 
     struct Entry {
         std::uint64_t hash = 0;
@@ -226,43 +227,6 @@ private:
     struct SharedRates {
         std::uint64_t hash = 0;
         std::span<const double> values;
-    };
-
-    /// Open-addressing index of ids into a table whose items carry their own
-    /// hash (`hash_of(id)`); callers confirm candidates with the full key.
-    class FlatIndex {
-    public:
-        /// First id with hash h accepted by `match`, or kNone.
-        template <class Match>
-        [[nodiscard]] std::uint32_t find(std::uint64_t h, Match&& match) const {
-            if (slots_.empty()) return kNone;
-            const std::size_t mask = slots_.size() - 1;
-            for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-                const std::uint32_t id = slots_[i];
-                if (id == kNone || match(id)) return id;
-            }
-        }
-        /// Adds item `id` with hash h; ids are dense (0, 1, 2, ...). Doubles
-        /// the slots to keep the load at most one half.
-        template <class HashOf>
-        void insert(std::uint64_t h, std::uint32_t id, HashOf&& hash_of) {
-            if (2 * (std::size_t{id} + 1) > slots_.size()) {
-                slots_.assign(std::max<std::size_t>(kFirstSlots, 2 * slots_.size()), kNone);
-                for (std::uint32_t old = 0; old < id; ++old) place(hash_of(old), old);
-            }
-            place(h, id);
-        }
-        void clear() { std::vector<std::uint32_t>().swap(slots_); }
-
-    private:
-        static constexpr std::size_t kFirstSlots = 16;
-        void place(std::uint64_t h, std::uint32_t id) {
-            const std::size_t mask = slots_.size() - 1;
-            std::size_t i = h & mask;
-            while (slots_[i] != kNone) i = (i + 1) & mask;
-            slots_[i] = id;
-        }
-        std::vector<std::uint32_t> slots_;
     };
 
     /// Bump allocator over blocks that never move: 1 KiB first, doubling up
@@ -319,7 +283,8 @@ private:
 
 /// Reusable per-worker simulation buffers. Bound to one CompiledModel at a
 /// time; rebinding (bind()) clears model-derived caches. Owned by path
-/// generators and the legacy Network entry points' thread-local scratch.
+/// generators, the legacy Network entry points' thread-local scratch and
+/// ctmc::build_state_space (one per exploration).
 struct SimScratch {
     expr::EvalScratch eval;
     StateInterner interner;

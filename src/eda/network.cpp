@@ -608,8 +608,10 @@ StepInfo Network::apply_firing_impl(NetworkState& s,
 }
 
 StepInfo Network::apply_firing(NetworkState& s,
-                               const std::vector<std::pair<ProcessId, int>>& firing) const {
-    return apply_firing_impl(s, firing, legacy_scratch());
+                               const std::vector<std::pair<ProcessId, int>>& firing,
+                               SimScratch& scratch) const {
+    scratch.bind(*cm_);
+    return apply_firing_impl(s, firing, &scratch);
 }
 
 StepInfo Network::execute_impl(NetworkState& s, const Candidate& c, Rng& rng,
@@ -723,8 +725,8 @@ StepInfo Network::execute_markovian(NetworkState& s, ProcessId process, Rng& rng
     return execute_markovian_impl(s, process, rng, &scratch);
 }
 
-std::vector<Network::ResolvedMove> Network::resolve_moves(const NetworkState& s,
-                                                          const Candidate& c) const {
+std::vector<Network::ResolvedMove>
+Network::resolve_moves(const NetworkState& s, const Candidate& c, SimScratch& scratch) const {
     // Enumerates the per-process sub-choices of a candidate with their
     // equiprobable weights (exhaustive builder path; no time analysis here —
     // callers use this on untimed models where enabledness is immediate).
@@ -745,7 +747,7 @@ std::vector<Network::ResolvedMove> Network::resolve_moves(const NetworkState& s,
             for (const int t : outgoing(s, peer)) {
                 const InstTransition& tr = proc.transitions[static_cast<std::size_t>(t)];
                 if (tr.channel == ch && tr.role == slim::PortDir::In &&
-                    enabled_now(s, peer, t)) {
+                    enabled_now(s, peer, t, scratch)) {
                     mine.emplace_back(peer, t);
                 }
             }
@@ -762,7 +764,7 @@ std::vector<Network::ResolvedMove> Network::resolve_moves(const NetworkState& s,
             for (const int t : outgoing(s, pid)) {
                 const InstTransition& tr = proc.transitions[static_cast<std::size_t>(t)];
                 if (tr.action == c.action && tr.trigger == TriggerClass::Normal &&
-                    enabled_now(s, pid, t)) {
+                    enabled_now(s, pid, t, scratch)) {
                     mine.emplace_back(pid, t);
                 }
             }

@@ -184,11 +184,12 @@ public:
         std::vector<std::pair<ProcessId, int>> firing;
         double probability = 1.0;
     };
-    [[nodiscard]] std::vector<ResolvedMove> resolve_moves(const NetworkState& s,
-                                                          const Candidate& c) const;
+    [[nodiscard]] std::vector<ResolvedMove>
+    resolve_moves(const NetworkState& s, const Candidate& c, SimScratch& scratch) const;
     /// Applies one resolved firing set (state-space builder path).
     StepInfo apply_firing(NetworkState& s,
-                          const std::vector<std::pair<ProcessId, int>>& firing) const;
+                          const std::vector<std::pair<ProcessId, int>>& firing,
+                          SimScratch& scratch) const;
 
     // --- queries ---------------------------------------------------------------
 

@@ -23,8 +23,8 @@ struct NetworkState {
 };
 
 /// Discrete projection of a state (locations + non-timed variable values +
-/// activation). Used as the hash key by the explicit state-space builder;
-/// only valid for untimed models, where timed variables never influence
+/// activation). Used as the memo key of sim/nested's inner checks; only
+/// valid for untimed models, where timed variables never influence
 /// behaviour.
 struct DiscreteKey {
     std::vector<int> locations;

@@ -53,7 +53,7 @@ public:
     [[nodiscard]] std::string to_string() const;
 
     /// Hash consistent with operator==: equal values hash alike (1 and 1.0,
-    /// -0.0 and +0.0). Used by the explicit state-space builder.
+    /// -0.0 and +0.0). Used by eda::DiscreteKey.
     [[nodiscard]] std::size_t hash() const;
 
 private:

@@ -177,6 +177,77 @@ TEST_F(ParallelTest, GoldenDeterministicViewOfCurveRuns) {
     }
 }
 
+// The sequential runners and the per-path Bernoulli drain of the threaded
+// runner: the master stream, per-path streams switched on by the run
+// control, a curve, and coverage (which switches estimate_parallel to
+// per-path streams and sample-by-sample draining) at 1 and 3 workers.
+TEST_F(ParallelTest, GoldenDeterministicViewOfSequentialRuns) {
+    const stat::ChernoffHoeffding ch(0.05, 0.03);
+    const stat::ChowRobbins chow(0.05, 0.02);
+    CurveOptions curve;
+    curve.bounds = {0.5, 1.0, 2.0};
+    struct VenueRun {
+        const char* venue;
+        const char* criterion;
+        std::uint64_t seed;
+        std::uint64_t samples;
+        std::uint64_t successes; // at the largest bound for the curve
+        std::uint64_t view_hash;
+    };
+    constexpr VenueRun kGolden[] = {
+        // venue, criterion, seed, samples, successes, view hash
+        {"master", "ch", 3, 2050, 1276, 0x816CA8D9FEEF0373ULL},
+        {"master", "ch", 17, 2050, 1261, 0xABF9D0C863D3AABCULL},
+        {"master", "chow", 3, 2268, 1407, 0xD021CBFEA7BB1C58ULL},
+        {"per_path", "ch", 3, 2050, 1303, 0x646B7A41F7AA5D73ULL},
+        {"per_path", "ch", 17, 2050, 1285, 0x21D25D501167735EULL},
+        {"per_path", "chow", 3, 2233, 1417, 0x5F96E14F9533DBE6ULL},
+        {"curve", "ch", 3, 2050, 1303, 0xCDD71E92633A5E0AULL},
+        {"curve", "ch", 17, 2050, 1285, 0x0BC54778083B60EFULL},
+        {"coverage_1", "ch", 3, 2050, 1303, 0xF03C06ED70B2890EULL},
+        {"coverage_1", "ch", 17, 2050, 1285, 0xA41D444C266111EEULL},
+        {"coverage_3", "ch", 3, 2050, 1303, 0xE55F6A0A60525311ULL},
+        {"coverage_3", "ch", 17, 2050, 1285, 0x7C61BBAE0AC2F4B3ULL},
+        {"coverage_3", "chow", 3, 2233, 1417, 0x54C422C2662E9E11ULL},
+    };
+    for (const VenueRun& g : kGolden) {
+        const std::string_view venue = g.venue;
+        const stat::StopCriterion& criterion =
+            std::string_view(g.criterion) == "ch" ? static_cast<const stat::StopCriterion&>(ch)
+                                                  : chow;
+        telemetry::RunReport report;
+        std::uint64_t samples = 0;
+        std::uint64_t successes = 0;
+        if (venue == "curve") {
+            const auto res = estimate_curve(net, prop, StrategyKind::Progressive, criterion,
+                                            curve, g.seed, {}, &report);
+            samples = res.samples;
+            successes = res.points.back().successes;
+        } else if (venue == "master" || venue == "per_path") {
+            SimOptions so;
+            so.control.deterministic_streams = venue == "per_path";
+            const auto res = estimate(net, prop, StrategyKind::Progressive, criterion, g.seed,
+                                      so, &report);
+            samples = res.samples;
+            successes = res.successes;
+        } else {
+            ParallelOptions po;
+            po.workers = venue == "coverage_1" ? 1 : 3;
+            po.sim.coverage = true;
+            const auto res = estimate_parallel(net, prop, StrategyKind::Progressive, criterion,
+                                               g.seed, po, &report);
+            samples = res.samples;
+            successes = res.successes;
+        }
+        const std::string view = telemetry::deterministic_view(report.to_json()).dump(2);
+        SCOPED_TRACE(std::string(venue) + " " + g.criterion + " seed " +
+                     std::to_string(g.seed));
+        EXPECT_EQ(samples, g.samples);
+        EXPECT_EQ(successes, g.successes);
+        EXPECT_EQ(fnv1a64(view), g.view_hash) << view;
+    }
+}
+
 // The runs above use a model without data flows; these pin the view on
 // generated models whose every firing runs flows and fault injections, so a
 // change to which flows or injections apply, or to their order, moves a

@@ -18,46 +18,6 @@ namespace slimsim::sim {
 
 namespace {
 
-/// One quarantined path fault of a worker: (local path index, message).
-/// Bounded at kMaxQuarantinedErrors per worker — each worker's first
-/// kMaxQuarantinedErrors faults cover every possible contribution to the
-/// globally-ordered first kMaxQuarantinedErrors.
-using WorkerFaults = std::vector<std::pair<std::uint64_t, std::string>>;
-
-/// Merges per-worker quarantined faults over *accepted* samples (local index
-/// < accepted[w]) into global accepted order — sample r of worker w of k is
-/// global path base + r*k + w — appended to the resumed log, bounded.
-std::vector<std::string> merge_fault_log(const std::vector<std::string>& resumed_log,
-                                         const std::vector<WorkerFaults>& faults,
-                                         const std::vector<std::uint64_t>& accepted,
-                                         std::uint64_t base, std::size_t k) {
-    std::vector<std::string> log = resumed_log;
-    std::vector<std::pair<std::uint64_t, const std::string*>> merged;
-    for (std::size_t w = 0; w < k; ++w) {
-        for (const auto& [local, msg] : faults[w]) {
-            if (local < accepted[w]) merged.emplace_back(base + local * k + w, &msg);
-        }
-    }
-    std::sort(merged.begin(), merged.end());
-    for (const auto& [idx, msg] : merged) {
-        if (log.size() >= kMaxQuarantinedErrors) break;
-        log.push_back("path " + std::to_string(idx) + ": " + *msg);
-    }
-    return log;
-}
-
-std::uint64_t tag_count(const std::vector<std::uint64_t>& tags, PathTerminal t) {
-    const auto i = static_cast<std::size_t>(t);
-    return tags.size() > i ? tags[i] : 0;
-}
-
-std::array<std::size_t, kPathTerminalCount>
-terminal_array(const std::vector<std::uint64_t>& tags) {
-    std::array<std::size_t, kPathTerminalCount> out{};
-    for (std::size_t t = 0; t < tags.size() && t < out.size(); ++t) out[t] = tags[t];
-    return out;
-}
-
 /// A worker's unfinished block of samples, handed to the collector with one
 /// push_block call. Blocks are sized by time, not count: the worker reads
 /// the clock once per hand-off and steers the next block toward kTargetNs of
@@ -100,38 +60,55 @@ private:
     Clock::time_point last_;
 };
 
-} // namespace
-
-EstimationResult estimate_parallel(const eda::Network& net,
-                                   const TimedReachability& property, StrategyKind strategy,
-                                   const stat::StopCriterion& criterion, std::uint64_t seed,
-                                   const ParallelOptions& options,
-                                   telemetry::RunReport* report) {
+/// Rejects requests the threaded loop cannot serve; `curve` is null for a
+/// scalar run. Curve runs ignore ParallelOptions::collection.
+void validate_threaded(const TimedReachability& property, StrategyKind strategy,
+                       const CurveOptions* curve, const ParallelOptions& options) {
     if (strategy == StrategyKind::Input) {
         throw Error("the input strategy cannot be used in parallel runs");
     }
     if (options.workers < 1) throw Error("worker count must be at least 1");
-    const bool coverage = options.sim.coverage;
-    if (coverage && options.collection != CollectionMode::RoundRobin) {
+    if (curve != nullptr) {
+        validate_curve_request(property, *curve);
+        return;
+    }
+    if (options.sim.coverage && options.collection != CollectionMode::RoundRobin) {
         throw Error("coverage profiling requires round-robin collection");
     }
-    const RunControlOptions& control = options.sim.control;
-    if (control.per_path_streams() && options.collection != CollectionMode::RoundRobin) {
+    if (options.sim.control.per_path_streams() &&
+        options.collection != CollectionMode::RoundRobin) {
         throw Error("checkpoint/resume requires round-robin collection");
     }
-    // Checkpoint/resume switches to per-path RNG streams and sample-granular
-    // ordered draining, exactly like coverage: the accepted prefix (and so
-    // the checkpoint cursor) is then the same for every worker count.
-    const bool per_path = coverage || control.per_path_streams();
+}
+
+/// The threaded sampling loop behind estimate_parallel() and
+/// estimate_curve_parallel(); `curve`, `curve_summary` and `last` as in the
+/// sequential loop (runner.cpp).
+EstimationResult run_threaded(const eda::Network& net, const TimedReachability& property,
+                              StrategyKind strategy, const stat::StopCriterion& criterion,
+                              const CurveOptions* curve, stat::CurveSummary* curve_summary,
+                              std::uint64_t seed, const ParallelOptions& options,
+                              telemetry::RunReport* report) {
+    const bool coverage = options.sim.coverage;
+    const RunControlOptions& control = options.sim.control;
+    // Curves, coverage and checkpoint/resume switch to per-path RNG streams
+    // and sample-granular ordered draining: the accepted prefix (and so the
+    // estimate, the profile and the checkpoint cursor) is then the same for
+    // every worker count.
+    const bool per_path = curve != nullptr || coverage || control.per_path_streams();
     const bool tolerate = control.fault.kind == FaultPolicyKind::Tolerate;
 
     const auto start = std::chrono::steady_clock::now();
+    // A curve's paths only need to run to its largest bound.
+    TimedReachability horizon = property;
+    if (curve != nullptr) horizon.bound = curve->bounds.back();
     const Rng master(seed);
-    stat::SampleCollector collector(options.workers);
+    const std::size_t k = options.workers;
+    stat::SampleCollector collector(k);
     collector.set_metrics(options.sim.metrics);
     std::atomic<bool> stop{false};
 
-    stat::BernoulliSummary summary;
+    stat::BernoulliSummary last;
     // Terminal counts over *accepted* samples: deterministic in (seed, k)
     // under round-robin collection, unlike counts over generated paths.
     std::vector<std::uint64_t> terminal_tags;
@@ -141,10 +118,11 @@ EstimationResult estimate_parallel(const eda::Network& net,
     if (control.resume != nullptr) {
         const RunCheckpoint& ck = *control.resume;
         ck.validate(control.model_hash, seed, property.text, to_string(strategy),
-                    criterion.name(), {});
+                    criterion.name(), curve != nullptr ? curve->bounds : std::vector<double>{});
         base = ck.cursor;
-        summary.count = ck.cursor;
-        summary.successes = ck.successes;
+        if (curve_summary != nullptr) curve_summary->restore(ck.cursor, ck.curve_tree);
+        last.count = ck.cursor;
+        last.successes = ck.successes;
         total_steps = ck.total_steps;
         terminal_tags = ck.terminal_tags;
         resumed_log = ck.error_log;
@@ -157,7 +135,7 @@ EstimationResult estimate_parallel(const eda::Network& net,
     // global path order after join); serial events — marks, checkpoints,
     // the stop record — fire from this consuming thread only.
     journal::Journal* jnl = options.sim.journal;
-    if (jnl != nullptr) jnl->begin_workers(options.workers);
+    if (jnl != nullptr) jnl->begin_workers(k);
 
     // One shard per worker; worker w records its paths in generation order
     // (its local path i is global path w + i*k), so merge_coverage can walk
@@ -166,37 +144,38 @@ EstimationResult estimate_parallel(const eda::Network& net,
     std::vector<std::unique_ptr<CoverageShard>> shards;
     if (coverage) {
         element_index.emplace(net.model());
-        shards.reserve(options.workers);
-        for (std::size_t w = 0; w < options.workers; ++w) {
+        shards.reserve(k);
+        for (std::size_t w = 0; w < k; ++w) {
             shards.push_back(std::make_unique<CoverageShard>(*element_index));
         }
     }
 
     std::mutex merge_mutex;
-    std::vector<std::uint64_t> generated(options.workers, 0);
-    std::vector<WorkerFaults> worker_faults(options.workers);
+    std::vector<std::uint64_t> generated(k, 0);
+    std::vector<WorkerFaults> worker_faults(k);
     std::exception_ptr worker_error;
 
     // Lanes are created in worker order *before* the threads start, so lane
     // ids (the exported tid values) are deterministic in (seed, workers).
-    std::vector<tracer::Lane*> lanes(options.workers, nullptr);
+    std::vector<tracer::Lane*> lanes(k, nullptr);
     if (options.tracer != nullptr && options.tracer->enabled()) {
-        for (std::size_t w = 0; w < options.workers; ++w) {
+        for (std::size_t w = 0; w < k; ++w) {
             lanes[w] = options.tracer->lane("worker " + std::to_string(w));
         }
         collector.set_trace(options.tracer->lane("collector"));
     }
 
-    const std::size_t witness_k = options.sim.witness.per_kind;
+    // Witnesses are captured for scalar runs only.
+    const std::size_t witness_k = curve != nullptr ? 0 : options.sim.witness.per_kind;
     std::vector<WitnessBuffer> witness_buffers;
-    witness_buffers.reserve(options.workers);
-    for (std::size_t w = 0; w < options.workers; ++w) {
+    witness_buffers.reserve(k);
+    for (std::size_t w = 0; w < k; ++w) {
         witness_buffers.emplace_back(witness_k);
     }
 
     std::vector<std::thread> threads;
-    threads.reserve(options.workers);
-    for (std::size_t w = 0; w < options.workers; ++w) {
+    threads.reserve(k);
+    for (std::size_t w = 0; w < k; ++w) {
         threads.emplace_back([&, w] {
             try {
                 Rng rng = master.split(w);
@@ -210,20 +189,19 @@ EstimationResult estimate_parallel(const eda::Network& net,
                     sim_options.coverage_shard = shards[w].get();
                     strat->set_observer(shards[w].get());
                 }
-                const PathGenerator gen(net, property, *strat, sim_options);
+                const PathGenerator gen(net, horizon, *strat, sim_options);
                 SampleBlock block(collector, w);
                 WitnessBuffer& witnesses = witness_buffers[w];
                 const bool capture = witnesses.active();
                 Rng pre_path(0);
                 std::uint64_t local_generated = 0;
                 while (!stop.load(std::memory_order_relaxed)) {
-                    // Coverage and checkpoint/resume runs switch to per-PATH
-                    // RNG streams (global path j uses split(j); a resumed
-                    // run continues at j = base + ...) so the accepted path
-                    // set matches every other worker count.
-                    if (per_path) {
-                        rng = master.split(base + w + local_generated * options.workers);
-                    }
+                    // With per-path streams worker w owns the global path
+                    // indices base+w, base+w+k, ... (base = resume cursor)
+                    // and path j simulates with split(j), so sample r of
+                    // worker w is the same path for every worker count —
+                    // and for every interruption point.
+                    if (per_path) rng = master.split(base + w + local_generated * k);
                     if (capture && !witnesses.saturated()) pre_path = rng;
                     PathOutcome out;
                     if (tolerate) {
@@ -256,8 +234,8 @@ EstimationResult estimate_parallel(const eda::Network& net,
                     }
                     ++local_generated;
                     block.add(stat::TaggedSample{out.satisfied,
-                                                 static_cast<std::uint8_t>(out.terminal), 0.0,
-                                                 out.steps});
+                                                 static_cast<std::uint8_t>(out.terminal),
+                                                 out.end_time, out.steps});
                 }
                 std::lock_guard lock(merge_mutex);
                 generated[w] = local_generated;
@@ -273,29 +251,28 @@ EstimationResult estimate_parallel(const eda::Network& net,
     std::uint64_t next_mark = 1;
     while (next_mark <= base) next_mark *= 2;
     auto save_checkpoint = [&] {
-        // The consuming thread owns summary/terminal_tags; accepted counts
-        // and fault lists are read under their own locks.
+        // The consuming thread owns the summaries and terminal_tags;
+        // accepted counts and fault lists are read under their own locks.
         const auto accepted_now = collector.consumed_per_worker();
         std::vector<std::string> log;
         {
             std::lock_guard lock(merge_mutex);
-            log = merge_fault_log(resumed_log, worker_faults, accepted_now, base,
-                                  options.workers);
+            log = merge_fault_log(resumed_log, worker_faults, accepted_now, base, k);
         }
         const std::size_t bytes =
             make_run_checkpoint(control, seed, property.text, to_string(strategy),
-                                criterion.name(), summary.count, summary.successes,
-                                total_steps, terminal_array(terminal_tags), log)
+                                criterion.name(), last, total_steps,
+                                terminal_array(terminal_tags), log, curve_summary)
                 .save(control.checkpoint_path);
         live.add_checkpoint(bytes);
         if (jnl != nullptr) {
             jnl->emit(journal::Level::Debug, "checkpoint", "checkpoint written",
-                      {{"samples", summary.count},
+                      {{"samples", last.count},
                        {"bytes", static_cast<std::uint64_t>(bytes)}});
         }
     };
     std::uint64_t next_checkpoint =
-        control.checkpoint_every > 0 ? summary.count + control.checkpoint_every : 0;
+        control.checkpoint_every > 0 ? last.count + control.checkpoint_every : 0;
     // Progress callbacks fire from this consuming thread only, so they can
     // never perturb the deterministic (seed, workers) sample order.
     const ProgressFn& progress = options.sim.progress.callback;
@@ -315,15 +292,19 @@ EstimationResult estimate_parallel(const eda::Network& net,
     // (seed, k)), so the trajectory and the diagnostics and journal derived
     // from it never depend on how many rounds one drain call takes.
     auto mark_trajectory = [&] {
-        if (summary.count < next_mark) return;
+        if (last.count < next_mark) return;
         if (report != nullptr) {
-            report->stop_trajectory.push_back({summary.count, required, summary.successes});
+            report->stop_trajectory.push_back({last.count, required, last.successes});
         }
         if (jnl != nullptr) {
             jnl->emit(journal::Level::Trace, "mark", "stop-criterion trajectory mark",
-                      {{"samples", summary.count}, {"successes", summary.successes}});
+                      {{"samples", last.count}, {"successes", last.successes}});
         }
-        while (next_mark <= summary.count) next_mark *= 2;
+        while (next_mark <= last.count) next_mark *= 2;
+    };
+    auto criterion_met = [&] {
+        return curve_summary != nullptr ? criterion.should_stop_curve(*curve_summary)
+                                        : criterion.should_stop(last);
     };
     // The criterion is consulted before the governor so a budget landing on
     // the convergence sample still reports Converged. Both run under the
@@ -331,8 +312,8 @@ EstimationResult estimate_parallel(const eda::Network& net,
     // (steps/tags are accumulators the drain updates before done() runs).
     const std::function<bool()> done = [&] {
         mark_trajectory();
-        return criterion.should_stop(summary) ||
-               governor.should_stop(summary.count, total_steps,
+        return criterion_met() ||
+               governor.should_stop(last.count, total_steps,
                                     tag_count(terminal_tags, PathTerminal::Error));
     };
     while (!stop.load(std::memory_order_relaxed)) {
@@ -341,18 +322,18 @@ EstimationResult estimate_parallel(const eda::Network& net,
             // Sample-granular ordered draining: with per-path streams the
             // accepted prefix — possibly ending mid-round — is the same for
             // every worker count.
-            consumed = collector.drain_ordered(summary, nullptr, &terminal_tags, done,
+            consumed = collector.drain_ordered(last, curve_summary, &terminal_tags, done,
                                                &total_steps);
         } else if (options.collection == CollectionMode::RoundRobin) {
             // Every complete round in one call, stopping after the exact
             // round where done() turns true: the accepted sample set is the
             // first R rounds, deterministic in (seed, k).
-            consumed = collector.drain_rounds(summary, &terminal_tags, done, &total_steps);
+            consumed = collector.drain_rounds(last, &terminal_tags, done, &total_steps);
         } else {
             // First-come draining has no per-sample hook; the mark lands at
             // whatever count the drain reached (not deterministic — neither
             // is this collection mode).
-            consumed = collector.drain_unordered(summary, &terminal_tags, &total_steps);
+            consumed = collector.drain_unordered(last, &terminal_tags, &total_steps);
             if (consumed > 0) mark_trajectory();
         }
         if (consumed > 0) {
@@ -364,25 +345,24 @@ EstimationResult estimate_parallel(const eda::Network& net,
             if (std::chrono::duration<double>(now - last_progress).count() >=
                 options.sim.progress.min_interval_seconds) {
                 const ProgressSnapshot snap = make_progress_snapshot(
-                    summary.count, summary.successes, required, elapsed(),
-                    progress_options);
+                    last.count, last.successes, required, elapsed(), progress_options);
                 live.on_snapshot(snap);
                 if (progress) progress(snap);
                 last_progress = now;
             }
         }
-        if (consumed > 0 && criterion.should_stop(summary)) {
+        if (consumed > 0 && criterion_met()) {
             stop.store(true);
             break;
         }
-        if (governor.should_stop(summary.count, total_steps,
+        if (governor.should_stop(last.count, total_steps,
                                  tag_count(terminal_tags, PathTerminal::Error))) {
             stop.store(true);
             break;
         }
-        if (next_checkpoint != 0 && summary.count >= next_checkpoint) {
+        if (next_checkpoint != 0 && last.count >= next_checkpoint) {
             save_checkpoint();
-            while (next_checkpoint <= summary.count) {
+            while (next_checkpoint <= last.count) {
                 next_checkpoint += control.checkpoint_every;
             }
         }
@@ -400,7 +380,7 @@ EstimationResult estimate_parallel(const eda::Network& net,
     // checkpoint are skipped.
     if (progress || live) {
         const ProgressSnapshot snap = make_progress_snapshot(
-            summary.count, summary.successes, required, elapsed(), progress_options);
+            last.count, last.successes, required, elapsed(), progress_options);
         live.on_snapshot(snap);
         if (progress) progress(snap);
     }
@@ -408,26 +388,29 @@ EstimationResult estimate_parallel(const eda::Network& net,
         jnl->merge_workers(collector.consumed_per_worker(), base);
         jnl->emit(journal::Level::Info, "stop", governor.stop_cause(),
                   {{"status", std::string(sim::to_string(governor.status()))},
-                   {"samples", summary.count}});
+                   {"samples", last.count}});
     }
 
     EstimationResult result;
-    result.estimate = summary.mean();
-    result.samples = summary.count;
-    result.successes = summary.successes;
+    result.estimate = last.mean();
+    result.samples = last.count;
+    result.successes = last.successes;
     result.strategy = to_string(strategy);
     result.criterion = criterion.name();
     result.terminals = terminal_array(terminal_tags);
     result.status = governor.status();
     result.stop_cause = governor.stop_cause();
-    result.achieved_half_width = criterion.achieved_half_width(summary);
+    // A curve's achieved guarantee is the simultaneous band half-width.
+    result.achieved_half_width =
+        curve != nullptr ? stat::simultaneous_half_width(curve->band, curve->delta,
+                                                         curve_summary->size(), last.count)
+                         : criterion.achieved_half_width(last);
     result.path_errors = tag_count(terminal_tags, PathTerminal::Error);
 
     const std::vector<std::uint64_t> accepted = collector.consumed_per_worker();
     {
         std::lock_guard lock(merge_mutex);
-        result.error_log =
-            merge_fault_log(resumed_log, worker_faults, accepted, base, options.workers);
+        result.error_log = merge_fault_log(resumed_log, worker_faults, accepted, base, k);
     }
     if (pending_error == nullptr) {
         if (coverage) {
@@ -461,33 +444,26 @@ EstimationResult estimate_parallel(const eda::Network& net,
     result.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
+    fill_report_common(report, result, curve, curve_summary, required, seed, generated,
+                       accepted);
     if (report != nullptr) {
-        if (report->stop_trajectory.empty() ||
-            report->stop_trajectory.back().samples != summary.count) {
-            report->stop_trajectory.push_back(
-                {summary.count, required, summary.successes});
-        }
-        report->value = result.estimate;
-        report->samples = result.samples;
-        report->successes = result.successes;
-        report->strategy = result.strategy;
-        report->criterion = result.criterion;
-        report->seed = seed;
-        report->workers = options.workers;
-        report->terminals = terminal_histogram(result.terminals);
         report->collector = collector.stats();
-        report->worker_stats.clear();
-        for (std::size_t w = 0; w < options.workers; ++w) {
-            report->worker_stats.push_back(
-                telemetry::WorkerStats{w, w, generated[w], accepted[w]});
-        }
         if (coverage && pending_error == nullptr) report->coverage = result.coverage;
-        fill_run_status(report, result.status, result.stop_cause,
-                        result.achieved_half_width, result.path_errors,
-                        result.error_log);
     }
     if (pending_error) std::rethrow_exception(pending_error);
     return result;
+}
+
+} // namespace
+
+EstimationResult estimate_parallel(const eda::Network& net,
+                                   const TimedReachability& property, StrategyKind strategy,
+                                   const stat::StopCriterion& criterion, std::uint64_t seed,
+                                   const ParallelOptions& options,
+                                   telemetry::RunReport* report) {
+    validate_threaded(property, strategy, nullptr, options);
+    return run_threaded(net, property, strategy, criterion, nullptr, nullptr, seed, options,
+                        report);
 }
 
 EstimationResult estimate_parallel(const eda::Network& net,
@@ -504,314 +480,11 @@ CurveResult estimate_curve_parallel(const eda::Network& net,
                                     const CurveOptions& curve, std::uint64_t seed,
                                     const ParallelOptions& options,
                                     telemetry::RunReport* report) {
-    if (strategy == StrategyKind::Input) {
-        throw Error("the input strategy cannot be used in parallel runs");
-    }
-    if (options.workers < 1) throw Error("worker count must be at least 1");
-    validate_curve_request(property, curve);
-    const RunControlOptions& control = options.sim.control;
-    const bool tolerate = control.fault.kind == FaultPolicyKind::Tolerate;
-
-    const auto start = std::chrono::steady_clock::now();
-    // Paths only need to run to the largest requested bound.
-    TimedReachability horizon = property;
-    horizon.bound = curve.bounds.back();
-    const Rng master(seed);
-    const std::size_t k = options.workers;
-    stat::SampleCollector collector(k);
-    collector.set_metrics(options.sim.metrics);
-    std::atomic<bool> stop{false};
-
+    validate_threaded(property, strategy, &curve, options);
     stat::CurveSummary summary(curve.bounds);
-    stat::BernoulliSummary last; // the largest bound (sim horizon == u_max)
-    std::vector<std::uint64_t> terminal_tags;
-    std::uint64_t total_steps = 0;
-    std::uint64_t base = 0; // resumed global path cursor
-    std::vector<std::string> resumed_log;
-    if (control.resume != nullptr) {
-        const RunCheckpoint& ck = *control.resume;
-        ck.validate(control.model_hash, seed, property.text, to_string(strategy),
-                    criterion.name(), curve.bounds);
-        base = ck.cursor;
-        summary.restore(ck.cursor, ck.curve_tree);
-        last.count = ck.cursor;
-        last.successes = ck.successes;
-        total_steps = ck.total_steps;
-        terminal_tags = ck.terminal_tags;
-        resumed_log = ck.error_log;
-    }
-    RunGovernor governor(control, start);
-    LiveRunMetrics live(options.sim.metrics, control.budget);
-    // Journal: as in estimate_parallel — per-worker quarantine rings,
-    // serial events from the consuming thread.
-    journal::Journal* jnl = options.sim.journal;
-    if (jnl != nullptr) jnl->begin_workers(k);
-
-    // Curve workers already use per-path RNG streams and sample-granular
-    // ordered draining, so coverage only needs the per-worker shards.
-    const bool coverage = options.sim.coverage;
-    std::optional<eda::ElementIndex> element_index;
-    std::vector<std::unique_ptr<CoverageShard>> shards;
-    if (coverage) {
-        element_index.emplace(net.model());
-        shards.reserve(k);
-        for (std::size_t w = 0; w < k; ++w) {
-            shards.push_back(std::make_unique<CoverageShard>(*element_index));
-        }
-    }
-
-    std::mutex merge_mutex;
-    std::vector<std::uint64_t> generated(k, 0);
-    std::vector<WorkerFaults> worker_faults(k);
-    std::exception_ptr worker_error;
-
-    std::vector<tracer::Lane*> lanes(k, nullptr);
-    if (options.tracer != nullptr && options.tracer->enabled()) {
-        for (std::size_t w = 0; w < k; ++w) {
-            lanes[w] = options.tracer->lane("worker " + std::to_string(w));
-        }
-        collector.set_trace(options.tracer->lane("collector"));
-    }
-
-    std::vector<std::thread> threads;
-    threads.reserve(k);
-    for (std::size_t w = 0; w < k; ++w) {
-        threads.emplace_back([&, w] {
-            try {
-                const auto strat = make_strategy(strategy);
-                SimOptions sim_options = options.sim;
-                sim_options.trace_lane = lanes[w];
-                if (sim_options.metrics != nullptr) {
-                    sim_options.metrics_shard = w % sim_options.metrics->shards();
-                }
-                if (coverage) {
-                    sim_options.coverage_shard = shards[w].get();
-                    strat->set_observer(shards[w].get());
-                }
-                const PathGenerator gen(net, horizon, *strat, sim_options);
-                SampleBlock block(collector, w);
-                std::uint64_t local_generated = 0;
-                // Worker w owns the global path indices base+w, base+w+k, ...
-                // (base = resume cursor); each path gets its own RNG stream,
-                // so sample r of worker w is the same path for every worker
-                // count — and for every interruption point.
-                for (std::uint64_t j = base + w; !stop.load(std::memory_order_relaxed);
-                     j += k) {
-                    Rng rng = master.split(j);
-                    PathOutcome out;
-                    if (tolerate) {
-                        try {
-                            out = gen.run(rng);
-                        } catch (const std::exception& e) {
-                            out = PathOutcome{false, PathTerminal::Error, 0.0, 0};
-                            live.add_quarantined();
-                            if (jnl != nullptr) {
-                                jnl->worker(w).emit(journal::Level::Debug,
-                                                    local_generated, "quarantine",
-                                                    e.what());
-                            }
-                            std::lock_guard lock(merge_mutex);
-                            if (worker_faults[w].size() < kMaxQuarantinedErrors) {
-                                worker_faults[w].emplace_back(local_generated, e.what());
-                            }
-                        }
-                    } else {
-                        out = gen.run(rng);
-                    }
-                    ++local_generated;
-                    block.add(stat::TaggedSample{out.satisfied,
-                                                 static_cast<std::uint8_t>(out.terminal),
-                                                 out.end_time, out.steps});
-                }
-                std::lock_guard lock(merge_mutex);
-                generated[w] = local_generated;
-            } catch (...) {
-                std::lock_guard lock(merge_mutex);
-                if (!worker_error) worker_error = std::current_exception();
-                stop.store(true);
-            }
-        });
-    }
-
-    const std::uint64_t required = criterion.fixed_sample_count().value_or(0);
-    std::uint64_t next_mark = 1;
-    while (next_mark <= base) next_mark *= 2;
-    auto save_checkpoint = [&] {
-        const auto accepted_now = collector.consumed_per_worker();
-        std::vector<std::string> log;
-        {
-            std::lock_guard lock(merge_mutex);
-            log = merge_fault_log(resumed_log, worker_faults, accepted_now, base, k);
-        }
-        const std::size_t bytes =
-            make_run_checkpoint(control, seed, property.text, to_string(strategy),
-                                criterion.name(), summary.count(), last.successes,
-                                total_steps, terminal_array(terminal_tags), log,
-                                curve.bounds, summary.tree())
-                .save(control.checkpoint_path);
-        live.add_checkpoint(bytes);
-        if (jnl != nullptr) {
-            jnl->emit(journal::Level::Debug, "checkpoint", "checkpoint written",
-                      {{"samples", summary.count()},
-                       {"bytes", static_cast<std::uint64_t>(bytes)}});
-        }
-    };
-    std::uint64_t next_checkpoint =
-        control.checkpoint_every > 0 ? summary.count() + control.checkpoint_every : 0;
-    const ProgressFn& progress = options.sim.progress.callback;
-    ProgressOptions progress_options = options.sim.progress;
-    progress_options.budget_max_seconds = control.budget.max_wall_seconds;
-    progress_options.budget_max_samples = control.budget.max_samples;
-    auto last_progress = start;
-    auto elapsed = [&] {
-        return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    };
-    while (!stop.load(std::memory_order_relaxed)) {
-        // Sample-granular ordered draining: the criterion is consulted after
-        // every sample, so the run stops at exactly the same accepted prefix
-        // as a sequential run — even when the final count is mid-round.
-        const std::size_t consumed = collector.drain_ordered(
-            last, &summary, &terminal_tags,
-            [&] {
-                // Sample-granular marks, exactly as in estimate_parallel.
-                if (summary.count() == next_mark) {
-                    if (report != nullptr) {
-                        report->stop_trajectory.push_back(
-                            {summary.count(), required, last.successes});
-                    }
-                    if (jnl != nullptr) {
-                        jnl->emit(journal::Level::Trace, "mark",
-                                  "stop-criterion trajectory mark",
-                                  {{"samples", summary.count()},
-                                   {"successes", last.successes}});
-                    }
-                    next_mark *= 2;
-                }
-                return criterion.should_stop_curve(summary) ||
-                       governor.should_stop(summary.count(), total_steps,
-                                            tag_count(terminal_tags,
-                                                      PathTerminal::Error));
-            },
-            &total_steps);
-        if (consumed > 0) {
-            live.add_samples(consumed);
-            live.sync_rounds(collector.stats().rounds);
-        }
-        if ((progress || live) && consumed > 0) {
-            const auto now = std::chrono::steady_clock::now();
-            if (std::chrono::duration<double>(now - last_progress).count() >=
-                options.sim.progress.min_interval_seconds) {
-                const ProgressSnapshot snap = make_progress_snapshot(
-                    summary.count(), last.successes, required, elapsed(),
-                    progress_options);
-                live.on_snapshot(snap);
-                if (progress) progress(snap);
-                last_progress = now;
-            }
-        }
-        if (consumed > 0 && criterion.should_stop_curve(summary)) {
-            stop.store(true);
-            break;
-        }
-        if (governor.should_stop(summary.count(), total_steps,
-                                 tag_count(terminal_tags, PathTerminal::Error))) {
-            stop.store(true);
-            break;
-        }
-        if (next_checkpoint != 0 && summary.count() >= next_checkpoint) {
-            save_checkpoint();
-            while (next_checkpoint <= summary.count()) {
-                next_checkpoint += control.checkpoint_every;
-            }
-        }
-        if (consumed == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    for (auto& t : threads) t.join();
-    std::exception_ptr pending_error;
-    {
-        std::lock_guard lock(merge_mutex);
-        pending_error = worker_error;
-    }
-    // As in estimate_parallel: on a FailFast worker abort the partial curve
-    // is still reported (final snapshot + report) before rethrowing; only
-    // coverage merge and the final checkpoint are skipped.
-    if (progress || live) {
-        const ProgressSnapshot snap = make_progress_snapshot(
-            summary.count(), last.successes, required, elapsed(), progress_options);
-        live.on_snapshot(snap);
-        if (progress) progress(snap);
-    }
-    if (jnl != nullptr) {
-        jnl->merge_workers(collector.consumed_per_worker(), base);
-        jnl->emit(journal::Level::Info, "stop", governor.stop_cause(),
-                  {{"status", std::string(sim::to_string(governor.status()))},
-                   {"samples", summary.count()}});
-    }
-
-    const std::vector<std::uint64_t> accepted = collector.consumed_per_worker();
-    CurveResult result;
-    if (coverage && pending_error == nullptr) {
-        std::vector<const CoverageShard*> shard_ptrs;
-        shard_ptrs.reserve(shards.size());
-        for (const auto& s : shards) shard_ptrs.push_back(s.get());
-        result.coverage = merge_coverage(shard_ptrs, accepted);
-    }
-    result.points = curve_points(summary);
-    result.samples = summary.count();
-    result.band = stat::to_string(curve.band);
-    result.simultaneous_eps = stat::simultaneous_half_width(curve.band, curve.delta,
-                                                            summary.size(), result.samples);
-    result.strategy = to_string(strategy);
-    result.criterion = criterion.name();
-    result.terminals = terminal_array(terminal_tags);
-    result.status = governor.status();
-    result.stop_cause = governor.stop_cause();
-    result.achieved_half_width = result.simultaneous_eps;
-    result.path_errors = tag_count(terminal_tags, PathTerminal::Error);
-    {
-        std::lock_guard lock(merge_mutex);
-        result.error_log = merge_fault_log(resumed_log, worker_faults, accepted, base, k);
-    }
-    if (pending_error == nullptr) {
-        if (!control.checkpoint_path.empty()) save_checkpoint();
-    } else {
-        result.status = RunStatus::Degraded;
-        result.stop_cause = "fail-fast worker abort";
-    }
-    result.peak_rss_bytes = peak_rss_bytes();
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-
-    if (report != nullptr) {
-        if (report->stop_trajectory.empty() ||
-            report->stop_trajectory.back().samples != result.samples) {
-            report->stop_trajectory.push_back({result.samples, required, last.successes});
-        }
-        report->value = result.points.back().estimate;
-        report->samples = result.samples;
-        report->successes = last.successes;
-        report->strategy = result.strategy;
-        report->criterion = result.criterion;
-        report->seed = seed;
-        report->workers = k;
-        report->terminals = terminal_histogram(result.terminals);
-        report->collector = collector.stats();
-        report->worker_stats.clear();
-        for (std::size_t w = 0; w < k; ++w) {
-            // In curve mode streams are per path; stream id w stands for the
-            // worker's family {w, w+k, w+2k, ...}.
-            report->worker_stats.push_back(
-                telemetry::WorkerStats{w, w, generated[w], accepted[w]});
-        }
-        report->curve = {result.band, result.simultaneous_eps, result.points};
-        if (coverage && pending_error == nullptr) report->coverage = result.coverage;
-        fill_run_status(report, result.status, result.stop_cause,
-                        result.achieved_half_width, result.path_errors,
-                        result.error_log);
-    }
-    if (pending_error) std::rethrow_exception(pending_error);
-    return result;
+    return curve_result(run_threaded(net, property, strategy, criterion, &curve, &summary,
+                                     seed, options, report),
+                        curve, summary);
 }
 
 } // namespace slimsim::sim

@@ -57,41 +57,6 @@ InjectKind reason_kind(LossReason r) {
     return InjectKind::WorkerCrash;
 }
 
-/// One quarantined fault: (local path index, message). Same bound and merge
-/// discipline as the in-process parallel runner.
-using WorkerFaults = std::vector<std::pair<std::uint64_t, std::string>>;
-
-std::vector<std::string> merge_fault_log(const std::vector<std::string>& resumed_log,
-                                         const std::vector<WorkerFaults>& faults,
-                                         const std::vector<std::uint64_t>& accepted,
-                                         std::uint64_t base, std::size_t k) {
-    std::vector<std::string> log = resumed_log;
-    std::vector<std::pair<std::uint64_t, const std::string*>> merged;
-    for (std::size_t w = 0; w < k; ++w) {
-        for (const auto& [local, msg] : faults[w]) {
-            if (local < accepted[w]) merged.emplace_back(base + local * k + w, &msg);
-        }
-    }
-    std::sort(merged.begin(), merged.end());
-    for (const auto& [idx, msg] : merged) {
-        if (log.size() >= kMaxQuarantinedErrors) break;
-        log.push_back("path " + std::to_string(idx) + ": " + *msg);
-    }
-    return log;
-}
-
-std::uint64_t tag_count(const std::vector<std::uint64_t>& tags, PathTerminal t) {
-    const auto i = static_cast<std::size_t>(t);
-    return tags.size() > i ? tags[i] : 0;
-}
-
-std::array<std::size_t, kPathTerminalCount>
-terminal_array(const std::vector<std::uint64_t>& tags) {
-    std::array<std::size_t, kPathTerminalCount> out{};
-    for (std::size_t t = 0; t < tags.size() && t < out.size(); ++t) out[t] = tags[t];
-    return out;
-}
-
 /// One worker slot (a stream family w of k). The slot survives its process:
 /// a replacement inherits recv_local as its start_local.
 struct Slot {
@@ -121,24 +86,6 @@ struct ScheduledInjection {
     bool fired = false;
 };
 
-/// Everything the two public wrappers need from the core run.
-struct CoreResult {
-    stat::BernoulliSummary last; // scalar summary (largest bound in curve mode)
-    std::vector<std::uint64_t> terminal_tags;
-    std::uint64_t total_steps = 0;
-    RunStatus status = RunStatus::Converged;
-    std::string stop_cause;
-    double achieved_half_width = 0.0;
-    std::vector<std::string> error_log;
-    std::vector<std::uint64_t> accepted;
-    std::vector<std::uint64_t> generated;
-    telemetry::CollectorStats collector_stats;
-    telemetry::SupervisionReport supervision;
-    std::uint64_t required = 0;
-    std::uint64_t seed = 0;
-    double wall_seconds = 0.0;
-};
-
 void validate_options(StrategyKind strategy, const SuperviseOptions& options) {
     if (strategy == StrategyKind::Input)
         throw Error("the input strategy cannot be used in supervised runs");
@@ -156,14 +103,14 @@ void validate_options(StrategyKind strategy, const SuperviseOptions& options) {
         throw Error("--worker-timeout must be positive");
 }
 
-/// The shared coordinator loop. `curve_summary` is null for scalar runs; in
-/// curve mode it receives every accepted sample alongside `last` (which then
-/// tracks the largest bound).
-CoreResult run_core(const eda::Network& net, const TimedReachability& property,
-                    StrategyKind strategy, const stat::StopCriterion& criterion,
-                    const CurveOptions* curve, stat::CurveSummary* curve_summary,
-                    std::uint64_t seed, const SuperviseOptions& options,
-                    telemetry::RunReport* report) {
+/// The shared coordinator loop. `curve` and `curve_summary` are null for
+/// scalar runs; in curve mode the summary receives every accepted sample
+/// alongside `last` (which then tracks the largest bound).
+EstimationResult run_core(const eda::Network& net, const TimedReachability& property,
+                          StrategyKind strategy, const stat::StopCriterion& criterion,
+                          const CurveOptions* curve, stat::CurveSummary* curve_summary,
+                          std::uint64_t seed, const SuperviseOptions& options,
+                          telemetry::RunReport* report) {
     validate_options(strategy, options);
     const auto start = Clock::now();
     const std::size_t k = options.processes;
@@ -195,14 +142,12 @@ CoreResult run_core(const eda::Network& net, const TimedReachability& property,
     setup.heartbeat_seconds =
         std::min(0.5, std::max(0.02, options.worker_timeout_seconds / 4.0));
 
-    CoreResult res;
-    res.seed = seed;
     stat::SampleCollector collector(k);
     collector.set_metrics(options.sim.metrics);
 
-    std::vector<std::uint64_t>& terminal_tags = res.terminal_tags;
-    stat::BernoulliSummary& last = res.last;
-    std::uint64_t& total_steps = res.total_steps;
+    std::vector<std::uint64_t> terminal_tags;
+    stat::BernoulliSummary last;
+    std::uint64_t total_steps = 0;
     std::uint64_t base = 0;
     std::vector<std::string> resumed_log;
     if (control.resume != nullptr) {
@@ -507,10 +452,6 @@ CoreResult run_core(const eda::Network& net, const TimedReachability& property,
     };
 
     const std::uint64_t required = criterion.fixed_sample_count().value_or(0);
-    res.required = required;
-    auto accepted_count = [&]() -> std::uint64_t {
-        return curve_summary != nullptr ? curve_summary->count() : last.count;
-    };
     auto criterion_met = [&]() -> bool {
         return curve_summary != nullptr ? criterion.should_stop_curve(*curve_summary)
                                         : criterion.should_stop(last);
@@ -523,23 +464,18 @@ CoreResult run_core(const eda::Network& net, const TimedReachability& property,
             merge_fault_log(resumed_log, worker_faults, accepted_now, base, k);
         const std::size_t bytes =
             make_run_checkpoint(control, seed, property.text, strategy_name,
-                                criterion.name(), accepted_count(), last.successes,
-                                total_steps, terminal_array(terminal_tags), log,
-                                curve != nullptr ? curve->bounds
-                                                 : std::vector<double>{},
-                                curve_summary != nullptr
-                                    ? curve_summary->tree()
-                                    : std::vector<std::uint64_t>{})
+                                criterion.name(), last, total_steps,
+                                terminal_array(terminal_tags), log, curve_summary)
                 .save(control.checkpoint_path);
         live.add_checkpoint(bytes);
         if (jnl != nullptr) {
             jnl->emit(journal::Level::Debug, "checkpoint", "checkpoint written",
-                      {{"samples", accepted_count()},
+                      {{"samples", last.count},
                        {"bytes", static_cast<std::uint64_t>(bytes)}});
         }
     };
     std::uint64_t next_checkpoint =
-        control.checkpoint_every > 0 ? accepted_count() + control.checkpoint_every : 0;
+        control.checkpoint_every > 0 ? last.count + control.checkpoint_every : 0;
     const ProgressFn& progress = options.sim.progress.callback;
     ProgressOptions progress_options = options.sim.progress;
     progress_options.budget_max_seconds = control.budget.max_wall_seconds;
@@ -648,21 +584,21 @@ CoreResult run_core(const eda::Network& net, const TimedReachability& property,
                     // Sample-granular trajectory marks at power-of-two
                     // accepted counts — identical to the in-process runners,
                     // so the trajectory survives byte-diffing against them.
-                    if (accepted_count() == next_mark) {
+                    if (last.count == next_mark) {
                         if (report != nullptr) {
                             report->stop_trajectory.push_back(
-                                {accepted_count(), required, last.successes});
+                                {last.count, required, last.successes});
                         }
                         if (jnl != nullptr) {
                             jnl->emit(journal::Level::Trace, "mark",
                                       "stop-criterion trajectory mark",
-                                      {{"samples", accepted_count()},
+                                      {{"samples", last.count},
                                        {"successes", last.successes}});
                         }
                         next_mark *= 2;
                     }
                     return criterion_met() ||
-                           governor.should_stop(accepted_count(), total_steps,
+                           governor.should_stop(last.count, total_steps,
                                                 tag_count(terminal_tags,
                                                           PathTerminal::Error));
                 },
@@ -676,7 +612,7 @@ CoreResult run_core(const eda::Network& net, const TimedReachability& property,
                 if (std::chrono::duration<double>(pnow - last_progress).count() >=
                     options.sim.progress.min_interval_seconds) {
                     const ProgressSnapshot snap = make_progress_snapshot(
-                        accepted_count(), last.successes, required, elapsed(),
+                        last.count, last.successes, required, elapsed(),
                         progress_options);
                     live.on_snapshot(snap);
                     if (progress) progress(snap);
@@ -684,7 +620,7 @@ CoreResult run_core(const eda::Network& net, const TimedReachability& property,
                 }
             }
             if (consumed > 0 && criterion_met()) break;
-            if (governor.should_stop(accepted_count(), total_steps,
+            if (governor.should_stop(last.count, total_steps,
                                      tag_count(terminal_tags, PathTerminal::Error)))
                 break;
             if (exhausted && consumed == 0) {
@@ -694,9 +630,9 @@ CoreResult run_core(const eda::Network& net, const TimedReachability& property,
                 degraded_stop = true;
                 break;
             }
-            if (next_checkpoint != 0 && accepted_count() >= next_checkpoint) {
+            if (next_checkpoint != 0 && last.count >= next_checkpoint) {
                 save_checkpoint();
-                while (next_checkpoint <= accepted_count())
+                while (next_checkpoint <= last.count)
                     next_checkpoint += control.checkpoint_every;
             }
         }
@@ -708,34 +644,34 @@ CoreResult run_core(const eda::Network& net, const TimedReachability& property,
 
     if (progress || live) {
         const ProgressSnapshot snap = make_progress_snapshot(
-            accepted_count(), last.successes, required, elapsed(), progress_options);
+            last.count, last.successes, required, elapsed(), progress_options);
         live.on_snapshot(snap);
         if (progress) progress(snap);
     }
 
-    res.accepted = collector.consumed_per_worker();
-    res.generated.resize(k);
-    for (std::size_t w = 0; w < k; ++w) res.generated[w] = slots[w].recv_local;
+    const std::vector<std::uint64_t> accepted = collector.consumed_per_worker();
+    std::vector<std::uint64_t> generated(k);
+    for (std::size_t w = 0; w < k; ++w) generated[w] = slots[w].recv_local;
     if (jnl != nullptr) {
-        jnl->merge_workers(res.accepted, base);
+        jnl->merge_workers(accepted, base);
     }
+    EstimationResult result;
     if (degraded_stop) {
-        res.status = RunStatus::Degraded;
-        res.stop_cause = exhausted_cause;
+        result.status = RunStatus::Degraded;
+        result.stop_cause = exhausted_cause;
     } else {
-        res.status = governor.status();
-        res.stop_cause = governor.stop_cause();
+        result.status = governor.status();
+        result.stop_cause = governor.stop_cause();
     }
     if (jnl != nullptr) {
-        jnl->emit(journal::Level::Info, "stop", res.stop_cause,
-                  {{"status", std::string(to_string(res.status))},
-                   {"samples", accepted_count()}});
+        jnl->emit(journal::Level::Info, "stop", result.stop_cause,
+                  {{"status", std::string(to_string(result.status))},
+                   {"samples", last.count}});
     }
-    res.error_log = merge_fault_log(resumed_log, worker_faults, res.accepted, base, k);
-    res.collector_stats = collector.stats();
+    result.error_log = merge_fault_log(resumed_log, worker_faults, accepted, base, k);
     if (!control.checkpoint_path.empty()) save_checkpoint();
 
-    telemetry::SupervisionReport& sup = res.supervision;
+    telemetry::SupervisionReport sup;
     sup.enabled = true;
     sup.processes = k;
     sup.spawns = spawns;
@@ -749,41 +685,34 @@ CoreResult run_core(const eda::Network& net, const TimedReachability& property,
     std::uint64_t reassigned = 0;
     for (std::size_t w = 0; w < k; ++w) {
         if (slots[w].first_restart_from.has_value() &&
-            res.accepted[w] > *slots[w].first_restart_from) {
-            reassigned += res.accepted[w] - *slots[w].first_restart_from;
+            accepted[w] > *slots[w].first_restart_from) {
+            reassigned += accepted[w] - *slots[w].first_restart_from;
         }
     }
     sup.reassigned_paths = reassigned;
     if (m_reassigned != nullptr && reassigned > 0) m_reassigned->add(0, reassigned);
 
-    res.wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    return res;
-}
-
-/// Report fields shared by the scalar and curve wrappers.
-void fill_report_common(telemetry::RunReport* report, const CoreResult& core,
-                        const std::string& strategy_name,
-                        const stat::StopCriterion& criterion, std::size_t k) {
-    if (report == nullptr) return;
-    if (report->stop_trajectory.empty() ||
-        report->stop_trajectory.back().samples != core.last.count) {
-        report->stop_trajectory.push_back(
-            {core.last.count, core.required, core.last.successes});
+    result.estimate = last.mean();
+    result.samples = last.count;
+    result.successes = last.successes;
+    result.strategy = strategy_name;
+    result.criterion = criterion.name();
+    result.terminals = terminal_array(terminal_tags);
+    // A curve's achieved guarantee is the simultaneous band half-width.
+    result.achieved_half_width =
+        curve != nullptr ? stat::simultaneous_half_width(curve->band, curve->delta,
+                                                         curve_summary->size(), last.count)
+                         : criterion.achieved_half_width(last);
+    result.path_errors = tag_count(terminal_tags, PathTerminal::Error);
+    result.peak_rss_bytes = peak_rss_bytes();
+    result.wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
+    fill_report_common(report, result, curve, curve_summary, required, seed, generated,
+                       accepted);
+    if (report != nullptr) {
+        report->collector = collector.stats();
+        report->supervision = sup;
     }
-    report->samples = core.last.count;
-    report->successes = core.last.successes;
-    report->strategy = strategy_name;
-    report->criterion = criterion.name();
-    report->seed = core.seed;
-    report->workers = k;
-    report->terminals = terminal_histogram(terminal_array(core.terminal_tags));
-    report->collector = core.collector_stats;
-    report->worker_stats.clear();
-    for (std::size_t w = 0; w < k; ++w) {
-        report->worker_stats.push_back(
-            telemetry::WorkerStats{w, w, core.generated[w], core.accepted[w]});
-    }
-    report->supervision = core.supervision;
+    return result;
 }
 
 } // namespace
@@ -794,30 +723,8 @@ EstimationResult estimate_supervised(const eda::Network& net,
                                      const stat::StopCriterion& criterion,
                                      std::uint64_t seed, const SuperviseOptions& options,
                                      telemetry::RunReport* report) {
-    CoreResult core = run_core(net, property, strategy, criterion, nullptr, nullptr,
-                               seed, options, report);
-    EstimationResult result;
-    result.estimate = core.last.mean();
-    result.samples = core.last.count;
-    result.successes = core.last.successes;
-    result.strategy = to_string(strategy);
-    result.criterion = criterion.name();
-    result.terminals = terminal_array(core.terminal_tags);
-    result.status = core.status;
-    result.stop_cause = core.stop_cause;
-    result.achieved_half_width = criterion.achieved_half_width(core.last);
-    result.path_errors = tag_count(core.terminal_tags, PathTerminal::Error);
-    result.error_log = core.error_log;
-    result.peak_rss_bytes = peak_rss_bytes();
-    result.wall_seconds = core.wall_seconds;
-    if (report != nullptr) {
-        report->value = result.estimate;
-        fill_report_common(report, core, result.strategy, criterion, options.processes);
-        fill_run_status(report, result.status, result.stop_cause,
-                        result.achieved_half_width, result.path_errors,
-                        result.error_log);
-    }
-    return result;
+    return run_core(net, property, strategy, criterion, nullptr, nullptr, seed, options,
+                    report);
 }
 
 CurveResult estimate_curve_supervised(const eda::Network& net,
@@ -829,33 +736,9 @@ CurveResult estimate_curve_supervised(const eda::Network& net,
                                       telemetry::RunReport* report) {
     validate_curve_request(property, curve);
     stat::CurveSummary summary(curve.bounds);
-    CoreResult core = run_core(net, property, strategy, criterion, &curve, &summary,
-                               seed, options, report);
-    CurveResult result;
-    result.points = curve_points(summary);
-    result.samples = summary.count();
-    result.band = stat::to_string(curve.band);
-    result.simultaneous_eps = stat::simultaneous_half_width(
-        curve.band, curve.delta, summary.size(), result.samples);
-    result.strategy = to_string(strategy);
-    result.criterion = criterion.name();
-    result.terminals = terminal_array(core.terminal_tags);
-    result.status = core.status;
-    result.stop_cause = core.stop_cause;
-    result.achieved_half_width = result.simultaneous_eps;
-    result.path_errors = tag_count(core.terminal_tags, PathTerminal::Error);
-    result.error_log = core.error_log;
-    result.peak_rss_bytes = peak_rss_bytes();
-    result.wall_seconds = core.wall_seconds;
-    if (report != nullptr) {
-        report->value = result.points.back().estimate;
-        fill_report_common(report, core, result.strategy, criterion, options.processes);
-        report->curve = {result.band, result.simultaneous_eps, result.points};
-        fill_run_status(report, result.status, result.stop_cause,
-                        result.achieved_half_width, result.path_errors,
-                        result.error_log);
-    }
-    return result;
+    return curve_result(run_core(net, property, strategy, criterion, &curve, &summary, seed,
+                                 options, report),
+                        curve, summary);
 }
 
 } // namespace slimsim::sim::supervise

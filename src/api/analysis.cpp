@@ -269,6 +269,11 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
             throw Error("--resume cannot be combined with witness capture");
         }
     }
+    if (!request.curve_bounds.empty() && request.witness.per_kind > 0 &&
+        (request.mode == AnalysisMode::Estimate ||
+         request.mode == AnalysisMode::EstimateParallel)) {
+        throw Error("curve estimation cannot be combined with witness capture");
+    }
 
     sim::SimOptions sim_options = request.sim;
     sim_options.coverage = request.coverage;

@@ -765,6 +765,9 @@ int run(int argc, char** argv) {
     if (!resume_path.empty() && !witness_dir.empty()) {
         throw Error("--resume cannot be combined with --witness");
     }
+    if (!req.curve_bounds.empty() && !witness_dir.empty()) {
+        throw Error("--curve/--curve-grid cannot be combined with --witness");
+    }
     sim::RunControlOptions& control = req.sim.control;
     control.budget = budget;
     control.fault = fault;

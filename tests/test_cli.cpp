@@ -170,6 +170,30 @@ TEST_F(CliTest, WitnessMode) {
     std::filesystem::remove_all(dir, ec);
 }
 
+TEST_F(CliTest, CurveRejectsWitness) {
+    const std::string dir = "cli_curve_witness_" + std::to_string(getpid());
+    for (const char* curve : {"--curve '10 min,30 min'", "--curve-grid 3"}) {
+        const CliResult res =
+            run_cli(gps_file() + "  --goal gps.measurement --bound '30 min' --eps 0.05 " +
+                    curve + " --witness " + dir);
+        EXPECT_EQ(res.exit_code, 1) << curve << ": " << res.output;
+        EXPECT_NE(res.output.find("error: --curve/--curve-grid cannot be combined with "
+                                  "--witness"),
+                  std::string::npos)
+            << res.output;
+        std::size_t error_lines = 0;
+        std::istringstream lines(res.output);
+        for (std::string line; std::getline(lines, line);) {
+            if (line.rfind("error:", 0) == 0) ++error_lines;
+        }
+        EXPECT_EQ(error_lines, 1u) << res.output;
+        // Rejected before the witness directory is created.
+        EXPECT_FALSE(std::filesystem::exists(dir)) << curve;
+        std::error_code ec;
+        std::filesystem::remove_all(dir, ec);
+    }
+}
+
 TEST_F(CliTest, ProgressFlag) {
     const CliResult res =
         run_cli(gps_file() + "  --goal gps.measurement --bound 1800 --eps 0.1 "

@@ -69,8 +69,8 @@ struct CompiledTransition {
     std::vector<std::pair<VarId, expr::ProgramPtr>> effects;
 };
 
-/// Per-location precomputation: facts the interpreter re-derived from the
-/// transition list on every step.
+/// Per-location precomputation: facts a step would otherwise re-derive from
+/// the transition list.
 struct CompiledLocation {
     expr::ProgramPtr invariant; // null = true
     std::vector<int> outgoing;  // transitions leaving this location, in order
@@ -283,8 +283,8 @@ private:
 
 /// Reusable per-worker simulation buffers. Bound to one CompiledModel at a
 /// time; rebinding (bind()) clears model-derived caches. Owned by path
-/// generators, the legacy Network entry points' thread-local scratch and
-/// ctmc::build_state_space (one per exploration).
+/// generators (one per worker), ctmc::build_state_space (one per
+/// exploration) and the one-off Network::initial_state() calls.
 struct SimScratch {
     expr::EvalScratch eval;
     StateInterner interner;

@@ -7,7 +7,7 @@
 #include <map>
 #include <sstream>
 
-#include "expr/timeline.hpp"
+#include "expr/eval.hpp"
 #include "slim/parser.hpp"
 #include "slim/validate.hpp"
 
@@ -70,14 +70,14 @@ Network::Network(CompiledModelPtr compiled)
                      [](const Instance& i) { return !i.parent_modes.empty(); });
 }
 
-SimScratch* Network::legacy_scratch() const {
-    if (reference_) return nullptr;
-    thread_local SimScratch scratch;
-    scratch.bind(*cm_);
-    return &scratch;
+NetworkState Network::initial_state() const {
+    SimScratch scratch;
+    return initial_state(scratch);
 }
 
-NetworkState Network::initial_state() const {
+const NetworkState& Network::initial_state(SimScratch& scratch) const {
+    scratch.bind(*cm_);
+    if (scratch.initial) return *scratch.initial;
     NetworkState s;
     s.locations.reserve(model_->processes.size());
     for (const InstProcess& p : model_->processes) s.locations.push_back(p.initial_location);
@@ -95,19 +95,15 @@ NetworkState Network::initial_state() const {
         }
         s.active[i] = a ? 1 : 0;
     }
-    settle(s, legacy_scratch());
-    return s;
-}
-
-const NetworkState& Network::initial_state(SimScratch& scratch) const {
-    scratch.bind(*cm_);
-    if (!scratch.initial) scratch.initial = initial_state();
+    settle(s, scratch);
+    scratch.initial = std::move(s);
     return *scratch.initial;
 }
 
 NetworkState Network::forced_initial_state(
     std::span<const std::pair<ProcessId, int>> forced) const {
-    NetworkState s = initial_state();
+    SimScratch scratch;
+    NetworkState s = initial_state(scratch);
     for (const auto& [proc, loc] : forced) {
         SLIMSIM_ASSERT(proc >= 0 &&
                        static_cast<std::size_t>(proc) < model_->processes.size());
@@ -116,39 +112,21 @@ NetworkState Network::forced_initial_state(
                            model_->processes[static_cast<std::size_t>(proc)].locations.size());
         s.locations[static_cast<std::size_t>(proc)] = loc;
     }
-    settle(s, legacy_scratch());
+    settle(s, scratch);
     return s;
 }
 
 // --- timing analysis -------------------------------------------------------------
 
-double Network::invariant_horizon_impl(const NetworkState& s, SimScratch* scratch) const {
-    if (scratch != nullptr) {
-        // The interned config lists exactly the active processes' invariants
-        // (process order), so the per-process sweep below collapses to them.
-        const InternedConfig& cfg = scratch->interner.intern(s, *cm_);
-        double horizon = kInf;
-        for (const expr::Program* inv : cfg.invariants) {
-            const auto prefix = inv->satisfying_times(s.values, cfg.rates, scratch->eval)
-                                    .prefix_horizon();
-            if (!prefix) return 0.0; // invariant already violated: urgent
-            horizon = std::min(horizon, *prefix);
-            if (horizon == 0.0) return 0.0;
-        }
-        return horizon;
-    }
-    std::vector<double> rates_vec;
-    compute_rates(s, rates_vec);
-    const std::span<const double> rates = rates_vec;
+double Network::invariant_horizon(const NetworkState& s, SimScratch& scratch) const {
+    scratch.bind(*cm_);
+    // The interned config lists exactly the active processes' invariants
+    // (process order).
+    const InternedConfig& cfg = scratch.interner.intern(s, *cm_);
     double horizon = kInf;
-    for (std::size_t p = 0; p < model_->processes.size(); ++p) {
-        const InstProcess& proc = model_->processes[p];
-        if (!s.instance_active(static_cast<std::size_t>(proc.instance))) continue;
-        const auto loc = static_cast<std::size_t>(s.locations[p]);
-        if (proc.locations[loc].invariant == nullptr) continue;
-        const expr::TimedEvalContext ctx{s.values, *proc.bindings, rates};
-        const IntervalSet sat = expr::satisfying_times(*proc.locations[loc].invariant, ctx);
-        const auto prefix = sat.prefix_horizon();
+    for (const expr::Program* inv : cfg.invariants) {
+        const auto prefix =
+            inv->satisfying_times(s.values, cfg.rates, scratch.eval).prefix_horizon();
         if (!prefix) return 0.0; // invariant already violated: urgent
         horizon = std::min(horizon, *prefix);
         if (horizon == 0.0) return 0.0;
@@ -156,87 +134,39 @@ double Network::invariant_horizon_impl(const NetworkState& s, SimScratch* scratc
     return horizon;
 }
 
-double Network::invariant_horizon(const NetworkState& s) const {
-    return invariant_horizon_impl(s, legacy_scratch());
-}
-
-double Network::invariant_horizon(const NetworkState& s, SimScratch& scratch) const {
-    scratch.bind(*cm_);
-    return invariant_horizon_impl(s, &scratch);
-}
-
 IntervalSet Network::guard_times(const NetworkState& s, std::span<const double> rates,
-                                 ProcessId p, int t, SimScratch* scratch) const {
-    const InstProcess& proc = model_->processes[static_cast<std::size_t>(p)];
-    if (scratch == nullptr) {
-        const InstTransition& tr = proc.transitions[static_cast<std::size_t>(t)];
-        if (tr.guard == nullptr) return IntervalSet::all();
-        const expr::TimedEvalContext ctx{s.values, *proc.bindings, rates};
-        return expr::satisfying_times(*tr.guard, ctx);
-    }
+                                 ProcessId p, int t, SimScratch& scratch) const {
     const expr::ProgramPtr& guard =
         cm_->process(p).transitions[static_cast<std::size_t>(t)].guard;
     if (guard == nullptr) return IntervalSet::all();
-    return guard->satisfying_times(s.values, rates, scratch->eval);
+    return guard->satisfying_times(s.values, rates, scratch.eval);
 }
 
-void Network::candidates_impl(const NetworkState& s, double horizon, SimScratch* scratch,
-                              std::vector<Candidate>& out) const {
-    std::vector<double> rates_vec;
-    std::span<const double> rates;
-    const InternedConfig* cfg = nullptr;
-    if (scratch == nullptr) {
-        compute_rates(s, rates_vec);
-        rates = rates_vec;
-    } else {
-        cfg = &scratch->interner.intern(s, *cm_);
-        rates = cfg->rates;
-    }
+std::span<const Candidate> Network::candidates(const NetworkState& s, double horizon,
+                                               SimScratch& scratch) const {
+    scratch.bind(*cm_);
+    const InternedConfig& cfg = scratch.interner.intern(s, *cm_);
+    const std::span<const double> rates = cfg.rates;
     const IntervalSet window(0.0, horizon);
+    std::vector<Candidate>& out = scratch.candidates;
     out.clear();
 
-    // Internal transitions and broadcast sends. The interned tau list is
-    // exactly the legacy filter below applied in process-then-outgoing order,
-    // precomputed once per discrete configuration.
-    if (cfg != nullptr) {
-        for (const auto& tc : cfg->taus) {
-            IntervalSet set =
-                (tc.guard != nullptr
-                     ? tc.guard->satisfying_times(s.values, rates, scratch->eval)
-                     : IntervalSet::all())
-                    .intersect(window);
-            if (set.empty()) continue;
-            Candidate c;
-            c.kind = tc.kind;
-            c.process = tc.process;
-            c.transition = tc.transition;
-            c.enabled = std::move(set);
-            out.push_back(std::move(c));
-        }
-    } else {
-        for (std::size_t p = 0; p < model_->processes.size(); ++p) {
-            const InstProcess& proc = model_->processes[p];
-            if (!s.instance_active(static_cast<std::size_t>(proc.instance))) continue;
-            for (const int t : outgoing(s, static_cast<ProcessId>(p))) {
-                const InstTransition& tr = proc.transitions[static_cast<std::size_t>(t)];
-                if (tr.markovian() || tr.trigger != TriggerClass::Normal ||
-                    tr.receive_only() || tr.action != slim::kTau) {
-                    continue;
-                }
-                IntervalSet set =
-                    guard_times(s, rates, static_cast<ProcessId>(p), t, scratch)
-                        .intersect(window);
-                if (set.empty()) continue;
-                Candidate c;
-                c.kind = tr.channel == slim::kNoChannel
-                             ? Candidate::Kind::Tau
-                             : Candidate::Kind::BroadcastSend;
-                c.process = static_cast<ProcessId>(p);
-                c.transition = t;
-                c.enabled = std::move(set);
-                out.push_back(std::move(c));
-            }
-        }
+    // Internal transitions and broadcast sends: the interned tau list holds
+    // the active processes' outgoing tau transitions that are neither
+    // Markovian, activation-triggered nor receive-only, in process-then-
+    // outgoing order, precomputed once per discrete configuration.
+    for (const auto& tc : cfg.taus) {
+        IntervalSet set = (tc.guard != nullptr
+                               ? tc.guard->satisfying_times(s.values, rates, scratch.eval)
+                               : IntervalSet::all())
+                              .intersect(window);
+        if (set.empty()) continue;
+        Candidate c;
+        c.kind = tc.kind;
+        c.process = tc.process;
+        c.transition = tc.transition;
+        c.enabled = std::move(set);
+        out.push_back(std::move(c));
     }
 
     // Synchronizations: every active participant must be ready, and at least
@@ -273,36 +203,6 @@ void Network::candidates_impl(const NetworkState& s, double horizon, SimScratch*
         c.enabled = std::move(set);
         out.push_back(std::move(c));
     }
-}
-
-std::vector<Candidate> Network::candidates(const NetworkState& s, double horizon) const {
-    std::vector<Candidate> out;
-    candidates_impl(s, horizon, legacy_scratch(), out);
-    return out;
-}
-
-std::span<const Candidate> Network::candidates(const NetworkState& s, double horizon,
-                                               SimScratch& scratch) const {
-    scratch.bind(*cm_);
-    candidates_impl(s, horizon, &scratch, scratch.candidates);
-    return scratch.candidates;
-}
-
-std::vector<MarkovianRate> Network::markovian_rates(const NetworkState& s) const {
-    if (SimScratch* scratch = legacy_scratch()) {
-        const auto span = markovian_rates(s, *scratch);
-        return {span.begin(), span.end()};
-    }
-    std::vector<MarkovianRate> out;
-    for (std::size_t p = 0; p < model_->processes.size(); ++p) {
-        const InstProcess& proc = model_->processes[p];
-        if (!s.instance_active(static_cast<std::size_t>(proc.instance))) continue;
-        double total = 0.0;
-        for (const int t : outgoing(s, static_cast<ProcessId>(p))) {
-            total += proc.transitions[static_cast<std::size_t>(t)].rate;
-        }
-        if (total > 0.0) out.push_back({static_cast<ProcessId>(p), total});
-    }
     return out;
 }
 
@@ -332,48 +232,17 @@ void Network::elapse(NetworkState& s, double d) const {
     s.time += d;
 }
 
-bool Network::enabled_now_impl(const NetworkState& s, ProcessId p, int t,
-                               SimScratch* scratch) const {
-    if (scratch == nullptr) {
-        const InstProcess& proc = model_->processes[static_cast<std::size_t>(p)];
-        const InstTransition& tr = proc.transitions[static_cast<std::size_t>(t)];
-        if (tr.guard == nullptr) return true;
-        return expr::testing::reference_evaluate(
-                   *tr.guard, expr::EvalContext{s.values, *proc.bindings})
-            .as_bool();
-    }
-    const expr::ProgramPtr& guard =
-        cm_->process(p).transitions[static_cast<std::size_t>(t)].guard;
-    if (guard == nullptr) return true;
-    return guard->run_bool(s.values, scratch->eval);
-}
-
-bool Network::enabled_now(const NetworkState& s, ProcessId p, int t) const {
-    return enabled_now_impl(s, p, t, legacy_scratch());
-}
-
 bool Network::enabled_now(const NetworkState& s, ProcessId p, int t,
                           SimScratch& scratch) const {
     scratch.bind(*cm_);
-    return enabled_now_impl(s, p, t, &scratch);
+    const expr::ProgramPtr& guard =
+        cm_->process(p).transitions[static_cast<std::size_t>(t)].guard;
+    if (guard == nullptr) return true;
+    return guard->run_bool(s.values, scratch.eval);
 }
 
 bool Network::eval_global(const NetworkState& s, const expr::Expr& e) const {
-    if (reference_) {
-        return expr::testing::reference_evaluate(e, expr::EvalContext{s.values, {}})
-            .as_bool();
-    }
     return expr::evaluate_bool(e, expr::EvalContext{s.values, {}});
-}
-
-void Network::compute_rates(const NetworkState& s, std::vector<double>& rates) const {
-    rates.assign(model_->vars.size(), 0.0);
-    for (std::size_t p = 0; p < model_->processes.size(); ++p) {
-        const InstProcess& proc = model_->processes[p];
-        if (!s.instance_active(static_cast<std::size_t>(proc.instance))) continue;
-        const auto& loc = proc.locations[static_cast<std::size_t>(s.locations[p])];
-        for (const auto& [var, slope] : loc.rates) rates[var] = slope;
-    }
 }
 
 std::span<const int> Network::outgoing(const NetworkState& s, ProcessId p) const {
@@ -411,58 +280,22 @@ void store(const CompiledModel& cm, NetworkState& s, VarId var, const Value& v) 
     }
 }
 
-/// Applies pre-evaluated effect writes in order: through the stores on the
-/// compiled path, through write_var in reference mode.
+/// Applies pre-evaluated effect writes in order.
 void apply_writes(const CompiledModel& cm, NetworkState& s,
-                  std::span<const std::pair<VarId, Value>> writes, bool compiled) {
-    for (const auto& [var, val] : writes) {
-        if (compiled) {
-            store(cm, s, var, val);
-        } else {
-            write_var(cm.model(), s, var, val);
-        }
-    }
+                  std::span<const std::pair<VarId, Value>> writes) {
+    for (const auto& [var, val] : writes) store(cm, s, var, val);
 }
 
 } // namespace
 
-void Network::apply_injections_for_current_states(NetworkState& s) const {
-    for (const slim::Injection& inj : model_->injections) {
-        if (s.locations[static_cast<std::size_t>(inj.process)] == inj.state) {
-            s.values[inj.target] = inj.value;
-        }
-    }
-}
-
-void Network::run_flows(NetworkState& s) const {
-    for (const slim::InstFlow& f : model_->flows) {
-        if (!s.instance_active(static_cast<std::size_t>(f.owner))) continue;
-        if (f.gate_process >= 0 && !f.gate_locations.empty()) {
-            const int loc = s.locations[static_cast<std::size_t>(f.gate_process)];
-            if (!std::binary_search(f.gate_locations.begin(), f.gate_locations.end(), loc)) {
-                continue;
-            }
-        }
-        write_var(*model_, s, f.target,
-                  expr::testing::reference_evaluate(
-                      *f.value, expr::EvalContext{s.values, *f.bindings}));
-    }
-}
-
-void Network::settle(NetworkState& s, SimScratch* scratch) const {
+void Network::settle(NetworkState& s, SimScratch& scratch) const {
     // Injected failure values must both feed the data flows (a failed
     // sensor's wrong reading propagates downstream) and override flows into
     // injected targets (a failed filter's zero output wins over its own
-    // flow), hence the inject / flow / inject sandwich.
-    if (scratch == nullptr) {
-        apply_injections_for_current_states(s);
-        run_flows(s);
-        apply_injections_for_current_states(s);
-        return;
-    }
-    // The interned configuration lists exactly the injections and flows the
-    // full sweeps above would apply, in the same order.
-    const InternedConfig& cfg = scratch->interner.intern(s, *cm_);
+    // flow), hence the inject / flow / inject sandwich. The interned
+    // configuration lists exactly the injections of the current error
+    // states and the flows of active, ungated-or-open owners, in model order.
+    const InternedConfig& cfg = scratch.interner.intern(s, *cm_);
     const auto inject = [&] {
         for (const std::uint32_t i : cfg.injections) {
             const slim::Injection& inj = model_->injections[i];
@@ -475,7 +308,7 @@ void Network::settle(NetworkState& s, SimScratch* scratch) const {
         if (f.source != CompiledFlow::kNoSource) {
             store(*cm_, s, f.target, s.values[f.source]);
         } else {
-            store(*cm_, s, f.target, f.program->run(s.values, scratch->eval));
+            store(*cm_, s, f.target, f.program->run(s.values, scratch.eval));
         }
     }
     inject();
@@ -486,29 +319,20 @@ void Network::settle(NetworkState& s, SimScratch* scratch) const {
 /// injected error state. Used for activation cascades; the synchronized main
 /// step pre-evaluates effects jointly in apply_firing.
 void Network::fire_one(NetworkState& s, ProcessId p, int t, StepInfo* info,
-                       SimScratch* scratch) const {
+                       SimScratch& scratch) const {
     const InstProcess& proc = model_->processes[static_cast<std::size_t>(p)];
     const InstTransition& tr = proc.transitions[static_cast<std::size_t>(t)];
     const int old_loc = s.locations[static_cast<std::size_t>(p)];
 
     std::vector<std::pair<VarId, Value>> writes;
     writes.reserve(tr.effects.size());
-    if (scratch == nullptr) {
-        const expr::EvalContext ctx{s.values, *proc.bindings};
-        for (const InstAssign& a : tr.effects) {
-            writes.emplace_back((*proc.bindings)[a.target],
-                                expr::testing::reference_evaluate(*a.value, ctx));
-        }
-    } else {
-        const CompiledTransition& ct =
-            cm_->process(p).transitions[static_cast<std::size_t>(t)];
-        for (const auto& [target, prog] : ct.effects) {
-            writes.emplace_back(target, prog->run(s.values, scratch->eval));
-        }
+    const CompiledTransition& ct = cm_->process(p).transitions[static_cast<std::size_t>(t)];
+    for (const auto& [target, prog] : ct.effects) {
+        writes.emplace_back(target, prog->run(s.values, scratch.eval));
     }
     s.locations[static_cast<std::size_t>(p)] = tr.dst;
     s.values[proc.timer] = Value(0.0);
-    apply_writes(*cm_, s, writes, scratch != nullptr);
+    apply_writes(*cm_, s, writes);
     if (proc.is_error && tr.dst != old_loc) {
         for (const slim::Injection& inj : model_->injections) {
             if (inj.process == p && inj.state == old_loc) s.values[inj.target] = inj.restore;
@@ -518,7 +342,7 @@ void Network::fire_one(NetworkState& s, ProcessId p, int t, StepInfo* info,
 }
 
 void Network::recompute_activation(NetworkState& s, StepInfo* info,
-                                   SimScratch* scratch) const {
+                                   SimScratch& scratch) const {
     if (static_activation_) return;
     for (int round = 0; round < 64; ++round) {
         std::vector<char> next(model_->instances.size(), 1);
@@ -559,31 +383,20 @@ void Network::recompute_activation(NetworkState& s, StepInfo* info,
     throw Error("activation/deactivation cascade did not stabilize (model error)");
 }
 
-StepInfo Network::apply_firing_impl(NetworkState& s,
-                                    const std::vector<std::pair<ProcessId, int>>& firing,
-                                    SimScratch* scratch) const {
+StepInfo Network::apply_firing(NetworkState& s,
+                               const std::vector<std::pair<ProcessId, int>>& firing,
+                               SimScratch& scratch) const {
+    scratch.bind(*cm_);
     StepInfo info;
     // Synchronized semantics: all effect right-hand sides are evaluated
     // against the pre-state, then applied (in process order on conflicts).
-    std::vector<std::pair<VarId, Value>> writes_local;
-    std::vector<std::pair<VarId, Value>>& writes =
-        scratch != nullptr ? scratch->writes : writes_local;
+    std::vector<std::pair<VarId, Value>>& writes = scratch.writes;
     writes.clear();
     for (const auto& [p, t] : firing) {
-        const InstProcess& proc = model_->processes[static_cast<std::size_t>(p)];
-        const InstTransition& tr = proc.transitions[static_cast<std::size_t>(t)];
-        if (scratch == nullptr) {
-            const expr::EvalContext ctx{s.values, *proc.bindings};
-            for (const InstAssign& a : tr.effects) {
-                writes.emplace_back((*proc.bindings)[a.target],
-                                    expr::testing::reference_evaluate(*a.value, ctx));
-            }
-        } else {
-            const CompiledTransition& ct =
-                cm_->process(p).transitions[static_cast<std::size_t>(t)];
-            for (const auto& [target, prog] : ct.effects) {
-                writes.emplace_back(target, prog->run(s.values, scratch->eval));
-            }
+        const CompiledTransition& ct =
+            cm_->process(p).transitions[static_cast<std::size_t>(t)];
+        for (const auto& [target, prog] : ct.effects) {
+            writes.emplace_back(target, prog->run(s.values, scratch.eval));
         }
     }
     std::vector<std::pair<ProcessId, int>> left; // (error process, old location)
@@ -596,7 +409,7 @@ StepInfo Network::apply_firing_impl(NetworkState& s,
         if (proc.is_error && tr.dst != old_loc) left.emplace_back(p, old_loc);
         info.fired.emplace_back(p, t);
     }
-    apply_writes(*cm_, s, writes, scratch != nullptr);
+    apply_writes(*cm_, s, writes);
     for (const auto& [p, old_loc] : left) {
         for (const slim::Injection& inj : model_->injections) {
             if (inj.process == p && inj.state == old_loc) s.values[inj.target] = inj.restore;
@@ -607,28 +420,19 @@ StepInfo Network::apply_firing_impl(NetworkState& s,
     return info;
 }
 
-StepInfo Network::apply_firing(NetworkState& s,
-                               const std::vector<std::pair<ProcessId, int>>& firing,
-                               SimScratch& scratch) const {
+StepInfo Network::execute(NetworkState& s, const Candidate& c, Rng& rng,
+                          SimScratch& scratch) const {
     scratch.bind(*cm_);
-    return apply_firing_impl(s, firing, &scratch);
-}
-
-StepInfo Network::execute_impl(NetworkState& s, const Candidate& c, Rng& rng,
-                               SimScratch* scratch) const {
-    std::vector<std::pair<ProcessId, int>> firing_local;
-    std::vector<std::pair<ProcessId, int>>& firing =
-        scratch != nullptr ? scratch->firing : firing_local;
+    std::vector<std::pair<ProcessId, int>>& firing = scratch.firing;
     firing.clear();
-    std::vector<int> ready_local;
-    std::vector<int>& ready = scratch != nullptr ? scratch->ready : ready_local;
+    std::vector<int>& ready = scratch.ready;
     switch (c.kind) {
     case Candidate::Kind::Tau:
-        SLIMSIM_ASSERT(enabled_now_impl(s, c.process, c.transition, scratch));
+        SLIMSIM_ASSERT(enabled_now(s, c.process, c.transition, scratch));
         firing.emplace_back(c.process, c.transition);
         break;
     case Candidate::Kind::BroadcastSend: {
-        SLIMSIM_ASSERT(enabled_now_impl(s, c.process, c.transition, scratch));
+        SLIMSIM_ASSERT(enabled_now(s, c.process, c.transition, scratch));
         firing.emplace_back(c.process, c.transition);
         const InstProcess& sender = model_->processes[static_cast<std::size_t>(c.process)];
         const ChannelId ch =
@@ -640,7 +444,7 @@ StepInfo Network::execute_impl(NetworkState& s, const Candidate& c, Rng& rng,
             for (const int t : outgoing(s, peer)) {
                 const InstTransition& tr = proc.transitions[static_cast<std::size_t>(t)];
                 if (tr.channel == ch && tr.role == slim::PortDir::In &&
-                    enabled_now_impl(s, peer, t, scratch)) {
+                    enabled_now(s, peer, t, scratch)) {
                     ready.push_back(t);
                 }
             }
@@ -659,7 +463,7 @@ StepInfo Network::execute_impl(NetworkState& s, const Candidate& c, Rng& rng,
             for (const int t : outgoing(s, pid)) {
                 const InstTransition& tr = proc.transitions[static_cast<std::size_t>(t)];
                 if (tr.action == c.action && tr.trigger == TriggerClass::Normal &&
-                    enabled_now_impl(s, pid, t, scratch)) {
+                    enabled_now(s, pid, t, scratch)) {
                     ready.push_back(t);
                 }
             }
@@ -669,33 +473,17 @@ StepInfo Network::execute_impl(NetworkState& s, const Candidate& c, Rng& rng,
         break;
     }
     }
-    return apply_firing_impl(s, firing, scratch);
+    return apply_firing(s, firing, scratch);
 }
 
-StepInfo Network::execute(NetworkState& s, const Candidate& c, Rng& rng) const {
-    return execute_impl(s, c, rng, legacy_scratch());
-}
-
-StepInfo Network::execute(NetworkState& s, const Candidate& c, Rng& rng,
-                          SimScratch& scratch) const {
+StepInfo Network::execute_markovian(NetworkState& s, ProcessId process, Rng& rng,
+                                    SimScratch& scratch) const {
     scratch.bind(*cm_);
-    return execute_impl(s, c, rng, &scratch);
-}
-
-StepInfo Network::execute_markovian_impl(NetworkState& s, ProcessId process, Rng& rng,
-                                         SimScratch* scratch) const {
     const InstProcess& proc = model_->processes[static_cast<std::size_t>(process)];
-    double total = 0.0;
-    if (scratch != nullptr) {
-        total = cm_->process(process)
-                    .locations[static_cast<std::size_t>(
-                        s.locations[static_cast<std::size_t>(process)])]
-                    .markov_total;
-    } else {
-        for (const int t : outgoing(s, process)) {
-            total += proc.transitions[static_cast<std::size_t>(t)].rate;
-        }
-    }
+    const double total =
+        cm_->process(process)
+            .locations[static_cast<std::size_t>(s.locations[static_cast<std::size_t>(process)])]
+            .markov_total;
     SLIMSIM_ASSERT(total > 0.0);
     double pick = rng.uniform01() * total;
     int chosen = -1;
@@ -707,22 +495,10 @@ StepInfo Network::execute_markovian_impl(NetworkState& s, ProcessId process, Rng
         pick -= r;
     }
     SLIMSIM_ASSERT(chosen >= 0);
-    std::vector<std::pair<ProcessId, int>> firing_local;
-    std::vector<std::pair<ProcessId, int>>& firing =
-        scratch != nullptr ? scratch->firing : firing_local;
+    std::vector<std::pair<ProcessId, int>>& firing = scratch.firing;
     firing.clear();
     firing.emplace_back(process, chosen);
-    return apply_firing_impl(s, firing, scratch);
-}
-
-StepInfo Network::execute_markovian(NetworkState& s, ProcessId process, Rng& rng) const {
-    return execute_markovian_impl(s, process, rng, legacy_scratch());
-}
-
-StepInfo Network::execute_markovian(NetworkState& s, ProcessId process, Rng& rng,
-                                    SimScratch& scratch) const {
-    scratch.bind(*cm_);
-    return execute_markovian_impl(s, process, rng, &scratch);
+    return apply_firing(s, firing, scratch);
 }
 
 std::vector<Network::ResolvedMove>
@@ -796,14 +572,14 @@ Network::resolve_moves(const NetworkState& s, const Candidate& c, SimScratch& sc
 // --- activation trigger firing helper ----------------------------------------
 
 void Network::fire_trigger_class(NetworkState& s, std::size_t instance, TriggerClass tc,
-                                 StepInfo* info, SimScratch* scratch) const {
+                                 StepInfo* info, SimScratch& scratch) const {
     const Instance& inst = model_->instances[instance];
     for (const ProcessId pid : {inst.process, inst.error_process}) {
         if (pid < 0) continue;
         const InstProcess& proc = model_->processes[static_cast<std::size_t>(pid)];
         for (const int t : outgoing(s, pid)) {
             const InstTransition& tr = proc.transitions[static_cast<std::size_t>(t)];
-            if (tr.trigger == tc && enabled_now_impl(s, pid, t, scratch)) {
+            if (tr.trigger == tc && enabled_now(s, pid, t, scratch)) {
                 fire_one(s, pid, t, info, scratch);
                 break; // deterministic: first enabled in declaration order
             }

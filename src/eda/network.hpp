@@ -103,15 +103,14 @@ public:
     [[nodiscard]] const InstanceModel& model() const { return *model_; }
     [[nodiscard]] const CompiledModelPtr& compiled() const { return cm_; }
 
-    /// Benchmark / differential-test mode: evaluate every expression with
-    /// the reference tree-walking interpreter instead of compiled programs
-    /// (per-call allocations included, as the pre-compilation simulator
-    /// behaved). Results are identical; only the cost profile differs.
-    void set_reference_interpreter(bool on) { reference_ = on; }
-    [[nodiscard]] bool reference_interpreter() const { return reference_; }
+    // Every entry point below that evaluates the model takes the caller's
+    // SimScratch (bound to this network's compiled model on entry): its
+    // interner, evaluation stack and step buffers.
 
     /// Initial state: initial locations, defaults + initial flow evaluation,
     /// initial activation, injections of initial error states applied.
+    /// Computed on a function-local scratch; loops use the cached
+    /// initial_state(SimScratch&) instead.
     [[nodiscard]] NetworkState initial_state() const;
 
     /// Initial state with some processes forced into given locations (used
@@ -120,9 +119,9 @@ public:
     [[nodiscard]] NetworkState
     forced_initial_state(std::span<const std::pair<ProcessId, int>> forced) const;
 
-    /// Cached initial state: computed once per scratch, then shared (only a
-    /// successful computation is cached, so throwing models keep their
-    /// per-path throw semantics). Compiled mode only.
+    /// Cached initial state: settled on the scratch once, then shared (only
+    /// a successful computation is cached, so throwing models keep their
+    /// per-path throw semantics).
     [[nodiscard]] const NetworkState& initial_state(SimScratch& scratch) const;
 
     // --- timing analysis ----------------------------------------------------
@@ -130,29 +129,23 @@ public:
     /// Largest T such that every active process's location invariant holds
     /// throughout [0, T]. Returns +infinity when unconstrained; 0 when an
     /// invariant forbids any delay.
-    [[nodiscard]] double invariant_horizon(const NetworkState& s) const;
     [[nodiscard]] double invariant_horizon(const NetworkState& s,
                                            SimScratch& scratch) const;
 
     /// All discrete candidates with non-empty enablement sets within
-    /// [0, horizon].
-    [[nodiscard]] std::vector<Candidate> candidates(const NetworkState& s,
-                                                    double horizon) const;
-    /// Scratch-buffer variant: the returned span points into
-    /// `scratch.candidates` and is valid until the next call on the scratch.
+    /// [0, horizon]. The span points into `scratch.candidates` and is valid
+    /// until the next candidates() call on the scratch.
     [[nodiscard]] std::span<const Candidate>
     candidates(const NetworkState& s, double horizon, SimScratch& scratch) const;
 
     /// Markovian exit rates per active process (only processes whose current
-    /// location has exit-rate transitions).
-    [[nodiscard]] std::vector<MarkovianRate> markovian_rates(const NetworkState& s) const;
-    /// Interned variant: the span points into the scratch's interning table
-    /// and stays valid while the scratch exists.
+    /// location has exit-rate transitions). The span points into the
+    /// scratch's interning table and stays valid while the scratch exists.
     [[nodiscard]] std::span<const MarkovianRate>
     markovian_rates(const NetworkState& s, SimScratch& scratch) const;
 
-    /// Interned per-variable derivative vector at the current state (same
-    /// values as compute_rates; one hash lookup on revisits).
+    /// Interned per-variable derivative vector at the current state: active
+    /// processes' location slopes, 0 elsewhere (inactive processes freeze).
     [[nodiscard]] std::span<const double> rates_of(const NetworkState& s,
                                                    SimScratch& scratch) const;
 
@@ -166,13 +159,11 @@ public:
     /// Sync, each participant's transition is drawn equiprobably among its
     /// enabled ones; for BroadcastSend, every ready receiver joins. Returns
     /// step details for tracing.
-    StepInfo execute(NetworkState& s, const Candidate& c, Rng& rng) const;
     StepInfo execute(NetworkState& s, const Candidate& c, Rng& rng,
                      SimScratch& scratch) const;
 
     /// Executes the Markovian race winner of `process`: one of its exit-rate
     /// transitions, drawn with probability proportional to its rate.
-    StepInfo execute_markovian(NetworkState& s, ProcessId process, Rng& rng) const;
     StepInfo execute_markovian(NetworkState& s, ProcessId process, Rng& rng,
                                SimScratch& scratch) const;
 
@@ -194,60 +185,32 @@ public:
     // --- queries ---------------------------------------------------------------
 
     /// True if the transition's guard holds in the current valuation.
-    [[nodiscard]] bool enabled_now(const NetworkState& s, ProcessId p, int t) const;
     [[nodiscard]] bool enabled_now(const NetworkState& s, ProcessId p, int t,
                                    SimScratch& scratch) const;
 
     /// Evaluates a Boolean expression with identity bindings (global names),
-    /// e.g. a property atom.
+    /// e.g. a property atom, through the compiled-program cache.
     [[nodiscard]] bool eval_global(const NetworkState& s, const expr::Expr& e) const;
-
-    /// Per-variable derivative vector at the current state (active processes'
-    /// location slopes; inactive processes freeze).
-    void compute_rates(const NetworkState& s, std::vector<double>& rates) const;
 
     /// Transitions of process p leaving its current location.
     [[nodiscard]] std::span<const int> outgoing(const NetworkState& s, ProcessId p) const;
 
 private:
-    // Private implementations share one control flow between the compiled
-    // path and the reference interpreter: `scratch == nullptr` means
-    // reference mode (tree-walking evaluation, per-call allocations — the
-    // pre-compilation behaviour), non-null means compiled programs and
-    // scratch buffers. Both produce identical results.
-    [[nodiscard]] double invariant_horizon_impl(const NetworkState& s,
-                                                SimScratch* scratch) const;
-    void candidates_impl(const NetworkState& s, double horizon, SimScratch* scratch,
-                         std::vector<Candidate>& out) const;
-    StepInfo execute_impl(NetworkState& s, const Candidate& c, Rng& rng,
-                          SimScratch* scratch) const;
-    StepInfo execute_markovian_impl(NetworkState& s, ProcessId process, Rng& rng,
-                                    SimScratch* scratch) const;
-    StepInfo apply_firing_impl(NetworkState& s,
-                               const std::vector<std::pair<ProcessId, int>>& firing,
-                               SimScratch* scratch) const;
-    [[nodiscard]] bool enabled_now_impl(const NetworkState& s, ProcessId p, int t,
-                                        SimScratch* scratch) const;
-    void recompute_activation(NetworkState& s, StepInfo* info,
-                              SimScratch* scratch) const;
+    // The helpers below run on a scratch already bound by the public entry
+    // point that called them.
+    void recompute_activation(NetworkState& s, StepInfo* info, SimScratch& scratch) const;
     void fire_trigger_class(NetworkState& s, std::size_t instance, slim::TriggerClass tc,
-                            StepInfo* info, SimScratch* scratch) const;
+                            StepInfo* info, SimScratch& scratch) const;
     /// Inject / flow / inject after the locations and activation are final.
-    void settle(NetworkState& s, SimScratch* scratch) const;
-    void run_flows(NetworkState& s) const;
-    void apply_injections_for_current_states(NetworkState& s) const;
+    void settle(NetworkState& s, SimScratch& scratch) const;
     void fire_one(NetworkState& s, ProcessId p, int t, StepInfo* info,
-                  SimScratch* scratch) const;
+                  SimScratch& scratch) const;
     [[nodiscard]] IntervalSet guard_times(const NetworkState& s,
                                           std::span<const double> rates, ProcessId p,
-                                          int t, SimScratch* scratch) const;
-    /// Thread-local scratch for the legacy (scratch-less) entry points;
-    /// bound to this network's compiled model. Null in reference mode.
-    [[nodiscard]] SimScratch* legacy_scratch() const;
+                                          int t, SimScratch& scratch) const;
 
     std::shared_ptr<const InstanceModel> model_;
     CompiledModelPtr cm_;
-    bool reference_ = false;
     bool static_activation_ = false; // no mode gates: activation never changes
 };
 

@@ -582,6 +582,15 @@ IntervalSet Program::sat_node(std::uint32_t ni, std::span<const Value> values,
         default:
             break;
         }
+        if (is_comparison(n.bop) && nodes_[n.a].is_bool) {
+            // Boolean (in)equality: both sides hold, or both fail.
+            const IntervalSet l = sat_node(n.a, values, rates, scratch);
+            const IntervalSet r = sat_node(n.b, values, rates, scratch);
+            const IntervalSet not_l = l.complement(kInf);
+            const IntervalSet not_r = r.complement(kInf);
+            return n.bop == BinaryOp::Eq ? l.intersect(r).unite(not_l.intersect(not_r))
+                                         : l.intersect(not_r).unite(not_l.intersect(r));
+        }
         if (is_comparison(n.bop)) {
             const AffineForm l = affine_node(n.a, values, rates, scratch);
             const AffineForm r = affine_node(n.b, values, rates, scratch);

@@ -110,14 +110,14 @@ public:
 
     /// Timed evaluation: the exact delay set at which this Boolean program
     /// holds under the per-variable derivative vector `rates` (mirrors
-    /// expr::satisfying_times, including the evaluation of time-independent
-    /// subtrees by the untimed bytecode).
+    /// expr::testing::satisfying_times, including the evaluation of
+    /// time-independent subtrees by the untimed bytecode).
     [[nodiscard]] IntervalSet satisfying_times(std::span<const Value> values,
                                                std::span<const double> rates,
                                                EvalScratch& scratch) const;
 
     /// Timed evaluation of a numeric program to a + b*t (mirrors
-    /// expr::eval_affine). Throws slimsim::Error when not affine in t.
+    /// expr::testing::eval_affine). Throws slimsim::Error when not affine in t.
     [[nodiscard]] AffineForm eval_affine(std::span<const Value> values,
                                          std::span<const double> rates,
                                          EvalScratch& scratch) const;

@@ -36,8 +36,8 @@ struct EvalContext {
 [[nodiscard]] bool evaluate_bool(const Expr& e, const EvalContext& ctx);
 
 namespace testing {
-/// The direct tree-walking interpreter, exposed only for differential tests
-/// and interpreter-baseline benchmarks. Production callers use evaluate().
+/// The direct tree-walking interpreter: the oracle differential tests check
+/// the compiled programs against. Production callers use evaluate().
 [[nodiscard]] Value reference_evaluate(const Expr& e, const EvalContext& ctx);
 } // namespace testing
 

@@ -9,7 +9,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 [[noreturn]] void non_affine(const Expr& e) {
-    throw Error(e.loc, "expression is not affine in time: " + e.to_string());
+    throw Error(e.loc, "expression is not affine in time");
 }
 
 /// Solves a + b*t <op> 0 for t in [0, inf).
@@ -51,6 +51,8 @@ IntervalSet solve_comparison(BinaryOp op, const LinForm& f) {
 }
 
 } // namespace
+
+namespace testing {
 
 bool is_time_dependent(const Expr& e, const TimedEvalContext& ctx) {
     switch (e.kind) {
@@ -153,6 +155,15 @@ IntervalSet satisfying_times(const Expr& e, const TimedEvalContext& ctx) {
         default:
             break;
         }
+        if (is_comparison(e.bop) && e.a->type.is_bool()) {
+            // Boolean (in)equality: both sides hold, or both fail.
+            const IntervalSet l = satisfying_times(*e.a, ctx);
+            const IntervalSet r = satisfying_times(*e.b, ctx);
+            const IntervalSet not_l = l.complement(kInf);
+            const IntervalSet not_r = r.complement(kInf);
+            return e.bop == BinaryOp::Eq ? l.intersect(r).unite(not_l.intersect(not_r))
+                                         : l.intersect(not_r).unite(not_l.intersect(r));
+        }
         if (is_comparison(e.bop)) {
             // Rewrite l <op> r as (l - r) <op> 0 and solve the linear form.
             const LinForm l = eval_affine(*e.a, ctx);
@@ -176,5 +187,7 @@ IntervalSet satisfying_times(const Expr& e, const TimedEvalContext& ctx) {
     SLIMSIM_ASSERT(false);
     return IntervalSet::empty_set();
 }
+
+} // namespace testing
 
 } // namespace slimsim::expr

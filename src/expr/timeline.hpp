@@ -1,4 +1,4 @@
-// Affine-in-time expression analysis.
+// Affine-in-time expression analysis: the tree-walking reference.
 //
 // Under time elapse, every timed variable v evolves as v(t) = v(0) + rate_v*t
 // with a constant, location-dependent rate (linear-hybrid dynamics). Numeric
@@ -6,9 +6,11 @@
 // linear form a + b*t, and Boolean expressions evaluate to *sets of time
 // points* at which they hold — finite unions of intervals.
 //
-// This module is the machinery behind the simulation strategies: guard
-// enablement intervals (Progressive), first enablement (ASAP), and invariant
-// horizons (Local / MaxTime) are all computed here, exactly.
+// The simulator computes guard enablement intervals and invariant horizons
+// with the compiled Program::satisfying_times (expr/compile.hpp). The tree
+// walkers here define the same analysis directly on the expression tree and
+// live in expr::testing, beside expr::testing::reference_evaluate, as the
+// oracles the compiled analysis is tested against.
 #pragma once
 
 #include <span>
@@ -42,6 +44,8 @@ struct TimedEvalContext {
     }
 };
 
+namespace testing {
+
 /// True if the expression's value can change under time elapse, i.e. it
 /// references a variable with a non-zero rate.
 [[nodiscard]] bool is_time_dependent(const Expr& e, const TimedEvalContext& ctx);
@@ -55,5 +59,7 @@ struct TimedEvalContext {
 /// expression holds (strict bounds closed over-approximated, see
 /// support/intervals.hpp). Throws slimsim::Error on non-affine expressions.
 [[nodiscard]] IntervalSet satisfying_times(const Expr& e, const TimedEvalContext& ctx);
+
+} // namespace testing
 
 } // namespace slimsim::expr

@@ -167,8 +167,8 @@ struct TreeContext {
 /// take children 1, 2, ... in spawn order — a pure function of the tree
 /// itself, never of scheduling, so the tree is byte-identical no matter
 /// which worker runs it.
-RootSample simulate_tree(const TreeContext& ctx, const eda::Network& net,
-                         std::uint64_t seed, std::size_t root_index) {
+RootSample simulate_tree(const TreeContext& ctx, std::uint64_t seed,
+                         std::size_t root_index) {
     RootSample out;
     const Rng root_master = Rng(seed).split(root_index);
     std::uint64_t stream = 0;
@@ -176,7 +176,7 @@ RootSample simulate_tree(const TreeContext& ctx, const eda::Network& net,
     std::vector<Job> stack;
     {
         Job job;
-        job.state = net.initial_state();
+        job.state = ctx.gen->initial_state();
         job.rng = root_master.split(stream++);
         job.level = (*ctx.level)(job.state);
         stack.push_back(std::move(job));
@@ -244,10 +244,10 @@ RootSample simulate_tree(const TreeContext& ctx, const eda::Network& net,
 /// error-tagged sample; the consumer applies the fault policy at the tree's
 /// deterministic root position (workers must never throw — a worker running
 /// ahead could otherwise fail on a root the accepted prefix never reaches).
-RootSample run_tree_guarded(const TreeContext& ctx, const eda::Network& net,
-                            std::uint64_t seed, std::size_t root_index) {
+RootSample run_tree_guarded(const TreeContext& ctx, std::uint64_t seed,
+                            std::size_t root_index) {
     try {
-        return simulate_tree(ctx, net, seed, root_index);
+        return simulate_tree(ctx, seed, root_index);
     } catch (const std::exception& e) {
         RootSample s;
         s.error = true;
@@ -425,7 +425,7 @@ AutoPlacement place_levels(const eda::Network& net, const sim::PathFormula& form
     const std::size_t pilot_runs = std::max<std::size_t>(1, options.pilot_runs);
     for (std::size_t i = 0; i < pilot_runs; ++i) {
         Rng rng = pilot_master.split(i);
-        eda::NetworkState s = net.initial_state();
+        eda::NetworkState s = gen.initial_state();
         std::size_t steps = 0;
         shard.begin_path(s);
         int best = raw_fn.raw(s);
@@ -533,7 +533,7 @@ SplittingResult estimate_splitting(const eda::Network& net,
                 stop_cause = governor.stop_cause();
                 break;
             }
-            const RootSample sample = run_tree_guarded(ctx, net, seed, root);
+            const RootSample sample = run_tree_guarded(ctx, seed, root);
             if (!accept_sample(merge, root, sample, options, metrics, status,
                                stop_cause)) {
                 if (sample.aborted && !sample.cap_hit) {
@@ -582,7 +582,7 @@ SplittingResult estimate_splitting(const eda::Network& net,
                 ctx.interrupt = control.interrupt;
                 for (std::size_t root = w; root < options.base_runs; root += workers) {
                     if (shared.stop.load(std::memory_order_relaxed)) break;
-                    RootSample sample = run_tree_guarded(ctx, net, seed, root);
+                    RootSample sample = run_tree_guarded(ctx, seed, root);
                     {
                         const std::lock_guard<std::mutex> lock(shared.mutex);
                         shared.slots[root] = std::move(sample);

@@ -133,7 +133,7 @@ public:
         Rng rng = master_.split(0);
         std::size_t hits = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            eda::NetworkState s = net_.initial_state();
+            eda::NetworkState s = gen.initial_state();
             std::size_t steps = 0;
             for (;;) {
                 if (s.time <= bound && eval_formula(phi, s)) {

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "expr/timeline.hpp"
 #include "sim/coverage.hpp"
 
 namespace slimsim::sim {
@@ -106,10 +105,8 @@ PathGenerator::PathGenerator(const eda::Network& net, const PathFormula& formula
       cov_(options.coverage_shard) {
     SLIMSIM_ASSERT(formula_.goal != nullptr);
     SLIMSIM_ASSERT(formula_.kind != FormulaKind::Until || formula_.hold != nullptr);
-    if (!net_.reference_interpreter()) {
-        goal_prog_ = expr::compile(*formula_.goal);
-        if (formula_.hold != nullptr) hold_prog_ = expr::compile(*formula_.hold);
-    }
+    goal_prog_ = expr::compile(*formula_.goal);
+    if (formula_.hold != nullptr) hold_prog_ = expr::compile(*formula_.hold);
     if (metrics::Registry* reg = options_.metrics; reg != nullptr) {
         SLIMSIM_ASSERT(options_.metrics_shard < reg->shards());
         shard_ = options_.metrics_shard;
@@ -144,12 +141,10 @@ PathGenerator::PathGenerator(const eda::Network& net, const PathFormula& formula
 }
 
 bool PathGenerator::goal_holds(const eda::NetworkState& s) const {
-    if (goal_prog_ == nullptr) return net_.eval_global(s, *formula_.goal);
     return goal_prog_->run_bool(s.values, scratch_.eval);
 }
 
 bool PathGenerator::hold_holds(const eda::NetworkState& s) const {
-    if (hold_prog_ == nullptr) return net_.eval_global(s, *formula_.hold);
     return hold_prog_->run_bool(s.values, scratch_.eval);
 }
 
@@ -181,31 +176,9 @@ PathGenerator::MonitorResult PathGenerator::instant_verdict(
 PathGenerator::MonitorResult PathGenerator::elapse_verdict(const eda::NetworkState& s,
                                                            double d) const {
     if (d <= 0.0) return {};
-    // Reference mode recomputes the derivative vector and tree-walks the
-    // timeline analysis; compiled mode reads the interned derivatives and
-    // runs the formula atoms' programs.
-    std::vector<double> rates_vec;
-    std::span<const double> rates;
-    if (goal_prog_ == nullptr) {
-        net_.compute_rates(s, rates_vec);
-        rates = rates_vec;
-    } else {
-        rates = net_.rates_of(s, scratch_);
-    }
-    auto sat_goal = [&] {
-        if (goal_prog_ == nullptr) {
-            return expr::satisfying_times(*formula_.goal,
-                                          expr::TimedEvalContext{s.values, {}, rates});
-        }
-        return goal_prog_->satisfying_times(s.values, rates, scratch_.eval);
-    };
-    auto sat_hold = [&] {
-        if (hold_prog_ == nullptr) {
-            return expr::satisfying_times(*formula_.hold,
-                                          expr::TimedEvalContext{s.values, {}, rates});
-        }
-        return hold_prog_->satisfying_times(s.values, rates, scratch_.eval);
-    };
+    const std::span<const double> rates = net_.rates_of(s, scratch_);
+    auto sat_goal = [&] { return goal_prog_->satisfying_times(s.values, rates, scratch_.eval); };
+    auto sat_hold = [&] { return hold_prog_->satisfying_times(s.values, rates, scratch_.eval); };
     const double t = s.time;
     const double to_bound = formula_.bound - t; // > 0 (instant decided otherwise)
 
@@ -290,23 +263,14 @@ std::optional<PathOutcome> PathGenerator::iterate(eda::NetworkState& s, Rng& rng
     // that is the strategy's semantics. Only when no invariant
     // constrains the future does the formula bound cap the window
     // (delays past it cannot change the verdict).
-    const bool ref = goal_prog_ == nullptr; // reference-interpreter mode
-    const double horizon =
-        ref ? net_.invariant_horizon(s) : net_.invariant_horizon(s, scratch_);
+    const double horizon = net_.invariant_horizon(s, scratch_);
     const double window = std::isinf(horizon) ? remaining : horizon;
 
     // Markovian race: earliest exponential among rate locations.
     double t_markov = kInf;
     eda::ProcessId markov_winner = -1;
     if (lane_ != nullptr) lane_->begin(n_delay_);
-    std::vector<eda::MarkovianRate> rates_vec;
-    std::span<const eda::MarkovianRate> rates;
-    if (ref) {
-        rates_vec = net_.markovian_rates(s);
-        rates = rates_vec;
-    } else {
-        rates = net_.markovian_rates(s, scratch_);
-    }
+    const std::span<const eda::MarkovianRate> rates = net_.markovian_rates(s, scratch_);
     for (const auto& [proc, rate] : rates) {
         const double d = rng.exponential(rate);
         if (d < t_markov) {
@@ -316,14 +280,7 @@ std::optional<PathOutcome> PathGenerator::iterate(eda::NetworkState& s, Rng& rng
     }
     if (lane_ != nullptr) lane_->end(n_arg_count_, static_cast<double>(rates.size()));
 
-    std::vector<eda::Candidate> cands_vec;
-    std::span<const eda::Candidate> cands;
-    if (ref) {
-        cands_vec = net_.candidates(s, window);
-        cands = cands_vec;
-    } else {
-        cands = net_.candidates(s, window, scratch_);
-    }
+    const std::span<const eda::Candidate> cands = net_.candidates(s, window, scratch_);
 
     // Strategy choice, honoring the Continue memory policy if an earlier
     // scheduled time is still ahead and feasible.
@@ -375,9 +332,7 @@ std::optional<PathOutcome> PathGenerator::iterate(eda::NetworkState& s, Rng& rng
             return finish_decided(v);
         }
         advance(s, t_markov);
-        const eda::StepInfo info =
-            ref ? net_.execute_markovian(s, markov_winner, rng)
-                : net_.execute_markovian(s, markov_winner, rng, scratch_);
+        const eda::StepInfo info = net_.execute_markovian(s, markov_winner, rng, scratch_);
         if (cov_ != nullptr) cov_->on_step(info);
         if (trace != nullptr) trace->record(s.time, describe_step(net_, info));
         ++pending_.fires[kMarkovian];
@@ -399,8 +354,7 @@ std::optional<PathOutcome> PathGenerator::iterate(eda::NetworkState& s, Rng& rng
         advance(s, choice->delay);
         if (choice->candidate >= 0) {
             const eda::Candidate& c = cands[static_cast<std::size_t>(choice->candidate)];
-            const eda::StepInfo info =
-                ref ? net_.execute(s, c, rng) : net_.execute(s, c, rng, scratch_);
+            const eda::StepInfo info = net_.execute(s, c, rng, scratch_);
             if (cov_ != nullptr) cov_->on_step(info);
             if (trace != nullptr) trace->record(s.time, describe_step(net_, info));
             if (sched_abs != nullptr) sched_abs->reset();
@@ -450,16 +404,9 @@ std::optional<PathOutcome> PathGenerator::iterate(eda::NetworkState& s, Rng& rng
 }
 
 PathOutcome PathGenerator::run_impl(Rng& rng, Trace* trace) const {
-    // Compiled mode copies the cached initial state into the reusable
-    // per-path buffers; reference mode recomputes it per path (the
-    // pre-compilation allocation profile).
-    eda::NetworkState fresh;
-    if (goal_prog_ == nullptr) {
-        fresh = net_.initial_state();
-    } else {
-        scratch_.path_state = net_.initial_state(scratch_);
-    }
-    eda::NetworkState& s = goal_prog_ == nullptr ? fresh : scratch_.path_state;
+    // Copies the cached initial state into the reusable per-path buffers.
+    scratch_.path_state = net_.initial_state(scratch_);
+    eda::NetworkState& s = scratch_.path_state;
     std::optional<double> scheduled_abs; // Continue memory policy
     std::size_t steps = 0;
     if (trace != nullptr) trace->record(0.0, "initial " + describe_state(net_, s));

@@ -149,6 +149,12 @@ public:
     [[nodiscard]] std::optional<PathOutcome> step(eda::NetworkState& state, Rng& rng,
                                                   std::size_t& steps) const;
 
+    /// The network's initial state, cached on this generator's scratch:
+    /// the start of every path driven through step().
+    [[nodiscard]] const eda::NetworkState& initial_state() const {
+        return net_.initial_state(scratch_);
+    }
+
     [[nodiscard]] const eda::Network& network() const { return net_; }
     [[nodiscard]] const PathFormula& formula() const { return formula_; }
 
@@ -166,8 +172,7 @@ private:
                                                      std::optional<double>* sched_abs) const;
     /// Formula verdict at the current instant.
     [[nodiscard]] MonitorResult instant_verdict(const eda::NetworkState& s) const;
-    /// goal / hold at the current instant (compiled programs, or the
-    /// reference interpreter when the network is in reference mode).
+    /// goal / hold at the current instant.
     [[nodiscard]] bool goal_holds(const eda::NetworkState& s) const;
     [[nodiscard]] bool hold_holds(const eda::NetworkState& s) const;
     /// Formula verdict along the elapse segment (0, d] from the current
@@ -186,7 +191,7 @@ private:
     SimOptions options_;
     CoverageShard* cov_ = nullptr;
     /// Formula atoms compiled once (identity bindings: property atoms use
-    /// global names). Null when the network runs the reference interpreter.
+    /// global names); hold_prog_ is null when the formula has no hold atom.
     expr::ProgramPtr goal_prog_;
     expr::ProgramPtr hold_prog_;
     /// Per-generator simulation buffers (one generator per worker); mutable

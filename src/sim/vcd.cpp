@@ -141,7 +141,7 @@ PathOutcome write_vcd(const PathGenerator& gen, Rng& rng, std::ostream& out,
     VcdWriter writer(gen.network(), out, options);
     writer.header();
 
-    eda::NetworkState s = gen.network().initial_state();
+    eda::NetworkState s = gen.initial_state();
     writer.dump(s, /*full=*/true);
     std::size_t steps = 0;
     for (;;) {

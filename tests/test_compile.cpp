@@ -9,11 +9,13 @@
 #include <array>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <tuple>
 
 #include "api/analysis.hpp"
 #include "eda/compiled.hpp"
 #include "expr/eval.hpp"
+#include "expr/timeline.hpp"
 #include "models/gps.hpp"
 #include "models/launcher.hpp"
 #include "models/sensor_filter.hpp"
@@ -31,6 +33,12 @@ namespace {
 #ifndef SLIMSIM_MODELS_DIR
 #error "SLIMSIM_MODELS_DIR must be defined by the build"
 #endif
+
+/// Equal representation and equal bits (operator== equates 1 and 1.0).
+bool same_value(const Value& a, const Value& b) {
+    if (a.index() != b.index()) return false;
+    return a.is_real() ? double_bits(a.as_real()) == double_bits(b.as_real()) : a == b;
+}
 
 /// Parses + resolves an expression over the given typed variables.
 expr::ExprPtr parse_resolved(const std::string& source,
@@ -133,6 +141,214 @@ TEST(CompiledExpr, ShortCircuitSkipsErrors) {
     expect_agreement("b => 1 / i = 1", vars);
     expect_agreement("if b then 1 / i else 5", vars);
     expect_agreement("if not b then 5 else 1 / i", vars);
+}
+
+/// Random well-typed expression sources over two variables of each kind:
+/// b0/b1 bool, i0/i1 int, r0/r1 real, c0/c1 clock. Every compound
+/// subexpression is parenthesized, so the source is its tree.
+class ExprGenerator {
+public:
+    explicit ExprGenerator(Rng& rng) : rng_(rng) {}
+
+    std::string boolean(int depth) {
+        switch (pick(depth, 3, 10)) {
+        case 0: return rng_.bernoulli(0.5) ? "true" : "false";
+        case 1: return var('b');
+        case 2:
+        case 3: { // a clock constraint, the common guard shape
+            constexpr const char* kOps[] = {"<", "<=", ">", ">="};
+            return "(" + var('c') + " " + kOps[rng_.uniform_index(4)] + " " +
+                   number(depth - 1) + ")";
+        }
+        case 4: return "(not " + boolean(depth - 1) + ")";
+        case 5: {
+            constexpr const char* kOps[] = {"<", "<=", ">", ">=", "=", "!="};
+            return "(" + number(depth - 1) + " " + kOps[rng_.uniform_index(6)] + " " +
+                   number(depth - 1) + ")";
+        }
+        case 6:
+        case 7: {
+            constexpr const char* kOps[] = {"and", "or", "=>"};
+            return "(" + boolean(depth - 1) + " " + kOps[rng_.uniform_index(3)] + " " +
+                   boolean(depth - 1) + ")";
+        }
+        case 8:
+            return "(" + boolean(depth - 1) + (rng_.bernoulli(0.5) ? " = " : " != ") +
+                   boolean(depth - 1) + ")";
+        default:
+            return "(if " + boolean(depth - 1) + " then " + boolean(depth - 1) + " else " +
+                   boolean(depth - 1) + ")";
+        }
+    }
+
+    /// An int- or real-typed expression (clocks included).
+    std::string number(int depth) {
+        return rng_.bernoulli(0.5) ? integer(depth) : real(depth);
+    }
+
+private:
+    std::string integer(int depth) {
+        switch (pick(depth, 2, 7)) {
+        case 0: return std::to_string(rng_.uniform_index(6));
+        case 1: return var('i');
+        case 2: return "(-" + integer(depth - 1) + ")";
+        case 3:
+        case 4: {
+            constexpr const char* kOps[] = {"+", "-", "*", "/", "mod"};
+            return "(" + integer(depth - 1) + " " + kOps[rng_.uniform_index(5)] + " " +
+                   integer(depth - 1) + ")";
+        }
+        case 5:
+            return "(if " + boolean(depth - 1) + " then " + integer(depth - 1) + " else " +
+                   integer(depth - 1) + ")";
+        default: return "(" + integer(depth - 1) + " / " + zero_int() + ")";
+        }
+    }
+
+    std::string real(int depth) {
+        switch (pick(depth, 3, 8)) {
+        case 0: {
+            constexpr const char* kLits[] = {"0.0", "0.5", "2.5", "1.0", "3.75"};
+            return kLits[rng_.uniform_index(5)];
+        }
+        case 1: return var('r');
+        case 2: return var('c');
+        case 3: return "(-" + real(depth - 1) + ")";
+        case 4:
+        case 5: {
+            constexpr const char* kOps[] = {"+", "-", "*", "/"};
+            return "(" + number(depth - 1) + " " + kOps[rng_.uniform_index(4)] + " " +
+                   number(depth - 1) + ")";
+        }
+        case 6:
+            return "(if " + boolean(depth - 1) + " then " + number(depth - 1) + " else " +
+                   real(depth - 1) + ")";
+        default: return "(" + real(depth - 1) + " / 0.0)";
+        }
+    }
+
+    /// A leaf kind (below `leaves`) at depth 0, any of `kinds` otherwise.
+    std::size_t pick(int depth, std::size_t leaves, std::size_t kinds) {
+        return rng_.uniform_index(depth <= 0 ? leaves : kinds);
+    }
+    std::string var(char kind) { return kind + std::to_string(rng_.uniform_index(2)); }
+    std::string zero_int() { return rng_.bernoulli(0.5) ? "0" : "(i0 - i0)"; }
+
+    Rng& rng_;
+};
+
+/// Runs `f`, returning its error text ("" when it returns normally).
+template <class F>
+std::string error_of(F&& f) {
+    try {
+        f();
+    } catch (const Error& e) {
+        return e.what();
+    }
+    return {};
+}
+
+TEST(CompiledExpr, RandomExpressionsMatchTreeWalkers) {
+    slim::SymbolTable table;
+    const std::pair<char, Type> kinds[] = {{'b', Type::boolean()},
+                                           {'i', Type::integer()},
+                                           {'r', Type::real()},
+                                           {'c', Type::clock()}};
+    for (const auto& [kind, type] : kinds) {
+        for (int k = 0; k < 2; ++k) {
+            slim::Symbol sym;
+            sym.name = kind + std::to_string(k);
+            sym.kind = slim::SymKind::Data;
+            sym.type = type;
+            table.add(std::move(sym));
+        }
+    }
+    std::size_t expressions = 0;
+    std::size_t run_errors = 0;
+    std::size_t timed_errors = 0;
+    std::size_t bounded_sets = 0;
+    // A private cache: the process-wide one keeps the first-compiled source
+    // location of each structure, which other tests may have set.
+    expr::ProgramCache cache;
+    expr::EvalScratch scratch;
+    for (const std::uint64_t seed : {3ULL, 17ULL, 29ULL, 101ULL}) {
+        Rng rng(seed);
+        ExprGenerator gen(rng);
+        for (int n = 0; n < 600; ++n) {
+            // Fresh values and rates: ints in [-2, 2] (so divisors hit 0),
+            // reals and clocks in [0, 5), clock rates in [-2, 2] or frozen.
+            std::vector<Value> values;
+            std::vector<double> rates;
+            for (int k = 0; k < 2; ++k) values.emplace_back(rng.bernoulli(0.5));
+            for (int k = 0; k < 2; ++k) {
+                values.emplace_back(static_cast<std::int64_t>(rng.uniform_index(5)) - 2);
+            }
+            for (int k = 0; k < 4; ++k) values.emplace_back(rng.uniform(0.0, 5.0));
+            rates.assign(6, 0.0);
+            for (int k = 0; k < 2; ++k) {
+                rates.push_back(rng.bernoulli(0.2) ? 0.0 : rng.uniform(-2.0, 2.0));
+            }
+            const bool is_bool = rng.bernoulli(0.75);
+            const int depth = static_cast<int>(rng.uniform_index(5));
+            const std::string source = is_bool ? gen.boolean(depth) : gen.number(depth);
+            SCOPED_TRACE(source);
+            expr::ExprPtr e = slim::parse_expression(source);
+            DiagnosticSink sink;
+            slim::resolve_expr(*e, table, sink);
+            sink.throw_if_errors("random expression");
+            const expr::ProgramPtr prog = cache.get_or_compile(*e);
+            ++expressions;
+
+            // run() against the tree-walking evaluator.
+            std::optional<Value> tree_value;
+            const std::string tree_error = error_of(
+                [&] { tree_value = expr::testing::reference_evaluate(*e, {values, {}}); });
+            std::optional<Value> prog_value;
+            const std::string prog_error =
+                error_of([&] { prog_value = prog->run(values, scratch); });
+            EXPECT_EQ(prog_error, tree_error);
+            ASSERT_EQ(prog_value.has_value(), tree_value.has_value());
+            if (tree_value) {
+                EXPECT_TRUE(same_value(*prog_value, *tree_value))
+                    << prog_value->to_string() << " vs " << tree_value->to_string();
+            } else {
+                ++run_errors;
+            }
+            if (!is_bool) continue;
+
+            // satisfying_times() against the tree-walking timeline.
+            IntervalSet tree_set;
+            const std::string tree_timed_error = error_of([&] {
+                tree_set = expr::testing::satisfying_times(*e, {values, {}, rates});
+            });
+            IntervalSet prog_set;
+            const std::string prog_timed_error =
+                error_of([&] { prog_set = prog->satisfying_times(values, rates, scratch); });
+            EXPECT_EQ(prog_timed_error, tree_timed_error);
+            if (!tree_timed_error.empty()) {
+                ++timed_errors;
+                continue;
+            }
+            ASSERT_EQ(prog_set.parts().size(), tree_set.parts().size())
+                << prog_set.to_string() << " vs " << tree_set.to_string();
+            for (std::size_t k = 0; k < tree_set.parts().size(); ++k) {
+                EXPECT_EQ(double_bits(prog_set.parts()[k].lo),
+                          double_bits(tree_set.parts()[k].lo));
+                EXPECT_EQ(double_bits(prog_set.parts()[k].hi),
+                          double_bits(tree_set.parts()[k].hi));
+            }
+            if (!tree_set.parts().empty() && tree_set.parts().back().hi <
+                                                 std::numeric_limits<double>::infinity()) {
+                ++bounded_sets;
+            }
+        }
+    }
+    EXPECT_GE(expressions, 2000u);
+    // The draws reach every outcome: value errors, timed errors (division by
+    // zero or non-affine products of clocks) and time-bounded sets.
+    EXPECT_GT(run_errors, 100u);
+    EXPECT_GT(timed_errors, 100u);
+    EXPECT_GT(bounded_sets, 100u);
 }
 
 TEST(CompiledExpr, HashConsingSharesStructurallyEqualPrograms) {
@@ -372,14 +588,20 @@ ConfigView view_of(const eda::InternedConfig& c) {
     return v;
 }
 
-/// The configuration of s recomputed from scratch by sweeping the model,
-/// the way the reference interpreter filters it on every step.
+/// The configuration of s recomputed from scratch by sweeping the whole
+/// model: the oracle for every list the interner precomputes.
 ConfigView recompute(const eda::Network& net, const eda::NetworkState& s) {
     const slim::InstanceModel& m = net.model();
     const eda::CompiledModel& cm = *net.compiled();
     ConfigView v;
-    std::vector<double> rates;
-    net.compute_rates(s, rates);
+    // Active processes' location slopes; inactive processes freeze.
+    std::vector<double> rates(m.vars.size(), 0.0);
+    for (std::size_t p = 0; p < m.processes.size(); ++p) {
+        const slim::InstProcess& proc = m.processes[p];
+        if (!s.instance_active(static_cast<std::size_t>(proc.instance))) continue;
+        const auto& loc = proc.locations[static_cast<std::size_t>(s.locations[p])];
+        for (const auto& [var, slope] : loc.rates) rates[var] = slope;
+    }
     for (const double r : rates) v.rates.push_back(double_bits(r));
     for (std::size_t p = 0; p < m.processes.size(); ++p) {
         const slim::InstProcess& proc = m.processes[p];
@@ -556,18 +778,10 @@ constexpr const char* kStoreModel = R"(
     end S.I;
 )";
 
-/// Equal representation and equal bits (operator== equates 1 and 1.0).
-bool same_value(const Value& a, const Value& b) {
-    if (a.index() != b.index()) return false;
-    return a.is_real() ? double_bits(a.as_real()) == double_bits(b.as_real()) : a == b;
-}
-
-TEST(TypedStore, EdgeCasesMatchInterpreter) {
-    const eda::Network compiled(compile_source(kStoreModel, "store.slim"));
-    eda::Network reference(compiled.compiled());
-    reference.set_reference_interpreter(true);
-    const slim::InstanceModel& m = compiled.model();
-    const eda::CompiledModel& cm = *compiled.compiled();
+TEST(TypedStore, EdgeCasesStoreExactValuesAndRangeErrors) {
+    const eda::Network net(compile_source(kStoreModel, "store.slim"));
+    const slim::InstanceModel& m = net.model();
+    const eda::CompiledModel& cm = *net.compiled();
     const VarId count = m.var("count");
     const VarId level = m.var("level");
     const VarId widened = m.var("widened");
@@ -585,54 +799,38 @@ TEST(TypedStore, EdgeCasesMatchInterpreter) {
     EXPECT_EQ(cm.store(widened).index, Value(0.0).index());
 
     eda::SimScratch scratch;
-    eda::NetworkState fast = compiled.initial_state();
-    eda::NetworkState slow = reference.initial_state();
-    Rng fast_rng(1);
-    Rng slow_rng(1);
+    eda::NetworkState s = net.initial_state();
+    Rng rng(1);
     for (std::int64_t k = 1; k <= 5; ++k) {
-        const std::span<const eda::Candidate> cands = compiled.candidates(fast, 10.0, scratch);
+        const std::span<const eda::Candidate> cands = net.candidates(s, 10.0, scratch);
         ASSERT_EQ(cands.size(), 1u);
         const eda::Candidate c = cands[0];
-        compiled.elapse(fast, 1.0);
-        reference.elapse(slow, 1.0);
-        (void)compiled.execute(fast, c, fast_rng, scratch);
-        (void)reference.execute(slow, c, slow_rng);
+        net.elapse(s, 1.0);
+        (void)net.execute(s, c, rng, scratch);
         SCOPED_TRACE("firing " + std::to_string(k));
-        for (std::size_t v = 0; v < fast.values.size(); ++v) {
-            EXPECT_TRUE(same_value(fast.values[v], slow.values[v]))
-                << m.vars[v].full_name << ": " << fast.values[v].to_string() << " vs "
-                << slow.values[v].to_string();
-        }
         const double lvl = (k % 2 == 0 ? 2.75 : -2.75);
-        EXPECT_TRUE(same_value(fast.values[count], Value(k)));
-        EXPECT_TRUE(same_value(fast.values[level], Value(lvl)));
-        EXPECT_TRUE(same_value(fast.values[widened], Value(static_cast<double>(k))));
-        EXPECT_TRUE(same_value(fast.values[truncated],
+        EXPECT_TRUE(same_value(s.values[count], Value(k)));
+        EXPECT_TRUE(same_value(s.values[level], Value(lvl)));
+        EXPECT_TRUE(same_value(s.values[widened], Value(static_cast<double>(k))));
+        EXPECT_TRUE(same_value(s.values[truncated],
                                Value(static_cast<std::int64_t>(std::trunc(lvl * k)))));
-        EXPECT_TRUE(same_value(fast.values[narrow], Value(k)));
+        EXPECT_TRUE(same_value(s.values[narrow], Value(k)));
         // The effect reads the pre-state count.
-        EXPECT_TRUE(same_value(fast.values[scaled], Value(static_cast<double>(3 * (k - 1)))));
+        EXPECT_TRUE(same_value(s.values[scaled], Value(static_cast<double>(3 * (k - 1)))));
     }
 
-    // The sixth firing copies 6 into narrow: both engines throw the same text.
-    const std::span<const eda::Candidate> cands = compiled.candidates(fast, 10.0, scratch);
+    // The sixth firing copies 6 into narrow, which leaves its range.
+    const std::span<const eda::Candidate> cands = net.candidates(s, 10.0, scratch);
     ASSERT_EQ(cands.size(), 1u);
     const eda::Candidate c = cands[0];
-    compiled.elapse(fast, 1.0);
-    reference.elapse(slow, 1.0);
-    const auto message = [](const auto& fire) -> std::string {
-        try {
-            fire();
-        } catch (const Error& e) {
-            return e.what();
-        }
-        return "no error";
-    };
-    const std::string fast_error =
-        message([&] { (void)compiled.execute(fast, c, fast_rng, scratch); });
-    const std::string slow_error = message([&] { (void)reference.execute(slow, c, slow_rng); });
-    EXPECT_EQ(fast_error, "assignment of 6 to `narrow` violates its range int[0..5]");
-    EXPECT_EQ(fast_error, slow_error);
+    net.elapse(s, 1.0);
+    std::string error = "no error";
+    try {
+        (void)net.execute(s, c, rng, scratch);
+    } catch (const Error& e) {
+        error = e.what();
+    }
+    EXPECT_EQ(error, "assignment of 6 to `narrow` violates its range int[0..5]");
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 // Corner cases of the Event-Data Automata network: hierarchical event
 // re-export, timed synchronization windows, activation cascades,
-// parent-child propagation, multi-process invariant horizons.
+// parent-child propagation, multi-process invariant horizons, Boolean
+// equality over clock constraints.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -59,9 +60,10 @@ TEST(EdaEdge, EventReExportAcrossHierarchy) {
 
     NetworkState s = net.initial_state();
     Rng rng(1);
-    const auto cands = net.candidates(s, kInf);
+    SimScratch scratch;
+    const auto cands = net.candidates(s, kInf, scratch);
     ASSERT_EQ(cands.size(), 1u);
-    const StepInfo info = net.execute(s, cands[0], rng);
+    const StepInfo info = net.execute(s, cands[0], rng, scratch);
     EXPECT_EQ(info.fired.size(), 2u);
     const auto rx = m.instances[m.instance("r.rx")].process;
     EXPECT_EQ(s.locations[rx], 1);
@@ -95,9 +97,10 @@ TEST(EdaEdge, TimedSyncWindowIsIntersection) {
         end Top.I;
     )");
     const NetworkState s = net.initial_state();
-    const double horizon = net.invariant_horizon(s);
+    SimScratch scratch;
+    const double horizon = net.invariant_horizon(s, scratch);
     EXPECT_DOUBLE_EQ(horizon, 5.0); // the sender's invariant binds first
-    const auto cands = net.candidates(s, horizon);
+    const auto cands = net.candidates(s, horizon, scratch);
     ASSERT_EQ(cands.size(), 1u);
     ASSERT_EQ(cands[0].enabled.parts().size(), 1u);
     // Sender ready on [2,5], receiver on [4,8]: the sync window is [4,5].
@@ -137,9 +140,10 @@ TEST(EdaEdge, GrandchildActivationCascade) {
 
     // Parent halts: mid and, transitively, mid.leaf deactivate.
     net.elapse(s, 1.0);
-    auto cands = net.candidates(s, 10.0);
+    SimScratch scratch;
+    auto cands = net.candidates(s, 10.0, scratch);
     ASSERT_EQ(cands.size(), 1u);
-    net.execute(s, cands[0], rng);
+    net.execute(s, cands[0], rng, scratch);
     EXPECT_FALSE(s.instance_active(m.instance("mid")));
     EXPECT_FALSE(s.instance_active(leaf_inst));
     const double frozen = s.values[c].as_real();
@@ -147,9 +151,9 @@ TEST(EdaEdge, GrandchildActivationCascade) {
     EXPECT_DOUBLE_EQ(s.values[c].as_real(), frozen); // grandchild clock frozen
 
     // Resume: both reactivate.
-    cands = net.candidates(s, 10.0);
+    cands = net.candidates(s, 10.0, scratch);
     ASSERT_EQ(cands.size(), 1u);
-    net.execute(s, cands[0], rng);
+    net.execute(s, cands[0], rng, scratch);
     EXPECT_TRUE(s.instance_active(leaf_inst));
     net.elapse(s, 1.0);
     EXPECT_DOUBLE_EQ(s.values[c].as_real(), frozen + 1.0);
@@ -188,11 +192,12 @@ TEST(EdaEdge, ParentChildPropagation) {
     NetworkState s = net.initial_state();
     Rng rng(2);
     // Child fails, then screams; the parent's error model hears it.
-    net.execute_markovian(s, net.markovian_rates(s)[0].process, rng);
-    const auto cands = net.candidates(s, kInf);
+    SimScratch scratch;
+    net.execute_markovian(s, net.markovian_rates(s, scratch)[0].process, rng, scratch);
+    const auto cands = net.candidates(s, kInf, scratch);
     ASSERT_EQ(cands.size(), 1u);
     EXPECT_EQ(cands[0].kind, Candidate::Kind::BroadcastSend);
-    const StepInfo info = net.execute(s, cands[0], rng);
+    const StepInfo info = net.execute(s, cands[0], rng, scratch);
     EXPECT_EQ(info.fired.size(), 2u);
     const auto parent_ep = m.instances[m.instance("")].error_process;
     EXPECT_EQ(s.locations[parent_ep], 1); // alarmed
@@ -222,15 +227,16 @@ TEST(EdaEdge, HorizonIsMinimumOverProcesses) {
     )");
     NetworkState s = net.initial_state();
     // Tank allows 5 s (10 / 2), timer allows 3 s: the horizon is 3 s.
-    EXPECT_DOUBLE_EQ(net.invariant_horizon(s), 3.0);
+    SimScratch scratch;
+    EXPECT_DOUBLE_EQ(net.invariant_horizon(s, scratch), 3.0);
     net.elapse(s, 3.0);
     Rng rng(1);
-    const auto cands = net.candidates(s, net.invariant_horizon(s));
+    const auto cands = net.candidates(s, net.invariant_horizon(s, scratch), scratch);
     ASSERT_EQ(cands.size(), 1u);
-    net.execute(s, cands[0], rng);
+    net.execute(s, cands[0], rng, scratch);
     // After the timer is done, only the tank constrains: 10 - 2*3 = 4 left,
     // at slope 2 -> horizon 2.
-    EXPECT_DOUBLE_EQ(net.invariant_horizon(s), 2.0);
+    EXPECT_DOUBLE_EQ(net.invariant_horizon(s, scratch), 2.0);
     EXPECT_DOUBLE_EQ(s.values[net.model().var("tank.level")].as_real(), 4.0);
 }
 
@@ -261,8 +267,30 @@ TEST(EdaEdge, SyncBlockedForeverIsDeadlockForCandidates) {
         end Top.I;
     )");
     const NetworkState s = net.initial_state();
-    EXPECT_TRUE(net.candidates(s, kInf).empty());
-    EXPECT_TRUE(net.markovian_rates(s).empty());
+    SimScratch scratch;
+    EXPECT_TRUE(net.candidates(s, kInf, scratch).empty());
+    EXPECT_TRUE(net.markovian_rates(s, scratch).empty());
+}
+
+TEST(EdaEdge, BooleanEqualityGuardOverClockConstraint) {
+    // A Boolean variable compared with a clock constraint: enabled exactly
+    // while both agree (both true from x = 5 on).
+    const Network net = build_network_from_source(R"(
+        root S.I;
+        system S end S;
+        system implementation S.I
+        subcomponents
+          x: data clock;
+          flag: data bool default true;
+        modes a: initial mode; b: mode;
+        transitions a -[when flag = (x >= 5)]-> b;
+        end S.I;
+    )");
+    const NetworkState s = net.initial_state();
+    SimScratch scratch;
+    const auto cands = net.candidates(s, 20.0, scratch);
+    ASSERT_EQ(cands.size(), 1u);
+    EXPECT_EQ(cands[0].enabled, IntervalSet(5.0, 20.0));
 }
 
 } // namespace

@@ -22,10 +22,11 @@ TEST(Failover, BuildsAndBootsThroughSync) {
     // Boot sequence: the monitor's first step synchronizes with the primary.
     eda::NetworkState s = net.initial_state();
     Rng rng(1);
-    const auto cands = net.candidates(s, 100.0);
+    eda::SimScratch scratch;
+    const auto cands = net.candidates(s, 100.0, scratch);
     ASSERT_EQ(cands.size(), 1u);
     EXPECT_EQ(cands[0].kind, eda::Candidate::Kind::Sync);
-    const eda::StepInfo info = net.execute(s, cands[0], rng);
+    const eda::StepInfo info = net.execute(s, cands[0], rng, scratch);
     EXPECT_EQ(info.fired.size(), 2u); // monitor + primary jointly
     EXPECT_EQ(s.values[m.var("primary.flow_ok")], Value(true));
     EXPECT_EQ(s.values[m.var("backup.flow_ok")], Value(false));

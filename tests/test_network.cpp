@@ -38,9 +38,10 @@ TEST(Network, InvariantHorizon) {
         end S.I;
     )");
     NetworkState s = net.initial_state();
-    EXPECT_DOUBLE_EQ(net.invariant_horizon(s), 7.0);
+    SimScratch scratch;
+    EXPECT_DOUBLE_EQ(net.invariant_horizon(s, scratch), 7.0);
     net.elapse(s, 3.0);
-    EXPECT_DOUBLE_EQ(net.invariant_horizon(s), 4.0);
+    EXPECT_DOUBLE_EQ(net.invariant_horizon(s, scratch), 4.0);
     EXPECT_DOUBLE_EQ(s.time, 3.0);
     EXPECT_DOUBLE_EQ(s.values[net.model().var("x")].as_real(), 3.0);
 }
@@ -54,9 +55,10 @@ TEST(Network, HorizonUnboundedWithoutInvariants) {
         end S.I;
     )");
     const NetworkState s = net.initial_state();
-    EXPECT_EQ(net.invariant_horizon(s), kInf);
-    EXPECT_TRUE(net.candidates(s, kInf).empty());
-    EXPECT_TRUE(net.markovian_rates(s).empty());
+    SimScratch scratch;
+    EXPECT_EQ(net.invariant_horizon(s, scratch), kInf);
+    EXPECT_TRUE(net.candidates(s, kInf, scratch).empty());
+    EXPECT_TRUE(net.markovian_rates(s, scratch).empty());
 }
 
 TEST(Network, CandidateWindows) {
@@ -70,9 +72,10 @@ TEST(Network, CandidateWindows) {
         end S.I;
     )");
     const NetworkState s = net.initial_state();
-    const double h = net.invariant_horizon(s);
+    SimScratch scratch;
+    const double h = net.invariant_horizon(s, scratch);
     EXPECT_DOUBLE_EQ(h, 10.0);
-    const auto cands = net.candidates(s, h);
+    const auto cands = net.candidates(s, h, scratch);
     ASSERT_EQ(cands.size(), 1u);
     EXPECT_EQ(cands[0].kind, Candidate::Kind::Tau);
     ASSERT_EQ(cands[0].enabled.parts().size(), 1u);
@@ -94,9 +97,10 @@ TEST(Network, ExecuteAppliesEffectsAndResetsTimer) {
     NetworkState s = net.initial_state();
     Rng rng(1);
     net.elapse(s, 2.5);
-    const auto cands = net.candidates(s, 10.0);
+    SimScratch scratch;
+    const auto cands = net.candidates(s, 10.0, scratch);
     ASSERT_EQ(cands.size(), 1u);
-    net.execute(s, cands[0], rng);
+    net.execute(s, cands[0], rng, scratch);
     EXPECT_EQ(s.locations[0], 1);
     EXPECT_EQ(s.values[net.model().var("n")], Value(std::int64_t{41}));
     EXPECT_DOUBLE_EQ(s.values[net.model().var("@timer")].as_real(), 0.0);
@@ -132,10 +136,11 @@ TEST(Network, SynchronizationFiresJointly) {
     )");
     NetworkState s = net.initial_state();
     Rng rng(1);
-    const auto cands = net.candidates(s, kInf);
+    SimScratch scratch;
+    const auto cands = net.candidates(s, kInf, scratch);
     ASSERT_EQ(cands.size(), 1u);
     EXPECT_EQ(cands[0].kind, Candidate::Kind::Sync);
-    const StepInfo info = net.execute(s, cands[0], rng);
+    const StepInfo info = net.execute(s, cands[0], rng, scratch);
     EXPECT_EQ(info.fired.size(), 2u); // both processes moved
     EXPECT_EQ(s.values[net.model().var("s.sent")], Value(true));
     EXPECT_EQ(s.values[net.model().var("r.got")], Value(true));
@@ -170,7 +175,8 @@ TEST(Network, SyncBlockedWhenReceiverNotReady) {
     )");
     const NetworkState s = net.initial_state();
     // Receiver's guard is false, so the CSP synchronization cannot happen.
-    EXPECT_TRUE(net.candidates(s, kInf).empty());
+    SimScratch scratch;
+    EXPECT_TRUE(net.candidates(s, kInf, scratch).empty());
 }
 
 TEST(Network, MarkovianRaceAndExecution) {
@@ -194,7 +200,8 @@ TEST(Network, MarkovianRaceAndExecution) {
         end fault injections;
     )");
     NetworkState s = net.initial_state();
-    const auto rates = net.markovian_rates(s);
+    SimScratch scratch;
+    const auto rates = net.markovian_rates(s, scratch);
     ASSERT_EQ(rates.size(), 1u);
     EXPECT_DOUBLE_EQ(rates[0].total_rate, 4.0);
 
@@ -204,7 +211,7 @@ TEST(Network, MarkovianRaceAndExecution) {
     const int n = 20000;
     for (int i = 0; i < n; ++i) {
         NetworkState copy = s;
-        net.execute_markovian(copy, rates[0].process, rng);
+        net.execute_markovian(copy, rates[0].process, rng, scratch);
         if (copy.locations[rates[0].process] == 1) ++to_bad;
     }
     EXPECT_NEAR(static_cast<double>(to_bad) / n, 0.75, 0.02);
@@ -242,15 +249,16 @@ TEST(Network, InjectionAppliesAndRestores) {
     const VarId v = net.model().var("a.v");
     EXPECT_EQ(s.values[v], Value(true));
     // Fault fires -> injection forces v=false.
-    const auto rates = net.markovian_rates(s);
+    SimScratch scratch;
+    const auto rates = net.markovian_rates(s, scratch);
     ASSERT_EQ(rates.size(), 1u);
-    net.execute_markovian(s, rates[0].process, rng);
+    net.execute_markovian(s, rates[0].process, rng, scratch);
     EXPECT_EQ(s.values[v], Value(false));
     // Recovery -> v restored to its default.
     net.elapse(s, 1.5);
-    const auto cands = net.candidates(s, 10.0);
+    const auto cands = net.candidates(s, 10.0, scratch);
     ASSERT_EQ(cands.size(), 1u);
-    net.execute(s, cands[0], rng);
+    net.execute(s, cands[0], rng, scratch);
     EXPECT_EQ(s.values[v], Value(true));
 }
 
@@ -290,12 +298,13 @@ TEST(Network, BroadcastPropagation) {
     NetworkState s = net.initial_state();
     Rng rng(5);
     // Fire the fault in a.
-    net.execute_markovian(s, net.markovian_rates(s)[0].process, rng);
+    SimScratch scratch;
+    net.execute_markovian(s, net.markovian_rates(s, scratch)[0].process, rng, scratch);
     // Now a#error can broadcast `fail`; both b and c listen.
-    const auto cands = net.candidates(s, kInf);
+    const auto cands = net.candidates(s, kInf, scratch);
     ASSERT_EQ(cands.size(), 1u);
     EXPECT_EQ(cands[0].kind, Candidate::Kind::BroadcastSend);
-    const StepInfo info = net.execute(s, cands[0], rng);
+    const StepInfo info = net.execute(s, cands[0], rng, scratch);
     EXPECT_EQ(info.fired.size(), 3u); // sender + two receivers
     const auto pb = net.model().instances[net.model().instance("b")].error_process;
     const auto pc = net.model().instances[net.model().instance("c")].error_process;
@@ -336,10 +345,11 @@ TEST(Network, BroadcastDoesNotBlockOnUnreadyReceiver) {
     )");
     NetworkState s = net.initial_state();
     Rng rng(5);
-    net.execute_markovian(s, net.markovian_rates(s)[0].process, rng);
-    const auto cands = net.candidates(s, kInf);
+    SimScratch scratch;
+    net.execute_markovian(s, net.markovian_rates(s, scratch)[0].process, rng, scratch);
+    const auto cands = net.candidates(s, kInf, scratch);
     ASSERT_EQ(cands.size(), 1u); // the send is enabled even with no receiver
-    const StepInfo info = net.execute(s, cands[0], rng);
+    const StepInfo info = net.execute(s, cands[0], rng, scratch);
     EXPECT_EQ(info.fired.size(), 1u); // sender alone
 }
 
@@ -377,17 +387,18 @@ TEST(Network, DynamicReconfigurationFreezesAndActivates) {
     EXPECT_DOUBLE_EQ(s.values[c].as_real(), 1.0);
 
     // Parent switches off: w deactivates, its clock freezes.
-    auto cands = net.candidates(s, 10.0);
+    SimScratch scratch;
+    auto cands = net.candidates(s, 10.0, scratch);
     ASSERT_EQ(cands.size(), 1u);
-    net.execute(s, cands[0], rng);
+    net.execute(s, cands[0], rng, scratch);
     EXPECT_FALSE(s.instance_active(w_inst));
     net.elapse(s, 1.0);
     EXPECT_DOUBLE_EQ(s.values[c].as_real(), 1.0); // frozen
 
     // Parent switches back on: @activation fires, counter increments.
-    cands = net.candidates(s, 10.0);
+    cands = net.candidates(s, 10.0, scratch);
     ASSERT_EQ(cands.size(), 1u);
-    net.execute(s, cands[0], rng);
+    net.execute(s, cands[0], rng, scratch);
     EXPECT_TRUE(s.instance_active(w_inst));
     EXPECT_EQ(s.values[restarted], Value(std::int64_t{1}));
 }
@@ -404,9 +415,10 @@ TEST(Network, RangeViolationThrows) {
     )");
     NetworkState s = net.initial_state();
     Rng rng(1);
-    const auto cands = net.candidates(s, 1.0);
+    SimScratch scratch;
+    const auto cands = net.candidates(s, 1.0, scratch);
     ASSERT_EQ(cands.size(), 1u);
-    EXPECT_THROW(net.execute(s, cands[0], rng), Error);
+    EXPECT_THROW(net.execute(s, cands[0], rng, scratch), Error);
 }
 
 TEST(Network, ModeGatedFlowSwitchesSource) {
@@ -440,9 +452,10 @@ TEST(Network, ModeGatedFlowSwitchesSource) {
     NetworkState s = net.initial_state();
     Rng rng(1);
     EXPECT_EQ(s.values[net.model().var("sel")], Value(std::int64_t{1}));
-    const auto cands = net.candidates(s, 1.0);
+    SimScratch scratch;
+    const auto cands = net.candidates(s, 1.0, scratch);
     ASSERT_EQ(cands.size(), 1u);
-    net.execute(s, cands[0], rng);
+    net.execute(s, cands[0], rng, scratch);
     EXPECT_EQ(s.values[net.model().var("sel")], Value(std::int64_t{2}));
 }
 

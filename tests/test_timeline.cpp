@@ -4,6 +4,7 @@
 
 #include <limits>
 
+#include "expr/compile.hpp"
 #include "slim/parser.hpp"
 #include "slim/resolver.hpp"
 
@@ -48,11 +49,11 @@ protected:
     expr::TimedEvalContext ctx() const { return {values_, {}, rates_}; }
 
     IntervalSet sat(const std::string& source) {
-        return expr::satisfying_times(*parse(source), ctx());
+        return expr::testing::satisfying_times(*parse(source), ctx());
     }
 
     expr::LinForm affine(const std::string& source) {
-        return expr::eval_affine(*parse(source), ctx());
+        return expr::testing::eval_affine(*parse(source), ctx());
     }
 
     slim::SymbolTable table_;
@@ -127,6 +128,23 @@ TEST_F(TimelineTest, ComparisonDowncrossing) {
     const IntervalSet s = sat("x <= 5");
     ASSERT_EQ(s.parts().size(), 1u);
     EXPECT_EQ(s.parts()[0], (Interval{0.0, 5.0}));
+}
+
+TEST_F(TimelineTest, BooleanEqualityOfTimedOperands) {
+    // Both sides hold, or both fail; the compiled analysis agrees.
+    add_clock("x", 0.0);
+    add_bool("b", true);
+    for (const char* source : {"(x >= 5) = b", "(x >= 5) != b", "(x <= 2) = (x >= 1)"}) {
+        SCOPED_TRACE(source);
+        const expr::ExprPtr e = parse(source);
+        const IntervalSet tree = expr::testing::satisfying_times(*e, ctx());
+        expr::EvalScratch scratch;
+        EXPECT_EQ(expr::compile(*e)->satisfying_times(values_, rates_, scratch), tree);
+    }
+    EXPECT_EQ(sat("(x >= 5) = b"), IntervalSet(5.0, kInf));
+    EXPECT_EQ(sat("(x >= 5) != b"), IntervalSet(0.0, 5.0));
+    // Equal exactly where both hold ([1, 2]) or both fail (never).
+    EXPECT_EQ(sat("(x <= 2) = (x >= 1)"), IntervalSet(1.0, 2.0));
 }
 
 TEST_F(TimelineTest, ComparisonAlreadyPast) {
@@ -222,11 +240,11 @@ TEST_F(TimelineTest, NeGuardIsClosedOverApproximated) {
 TEST_F(TimelineTest, IsTimeDependent) {
     add_clock("x", 0.0);
     add_int("n", 1);
-    EXPECT_TRUE(expr::is_time_dependent(*parse("x + 1"), ctx()));
-    EXPECT_FALSE(expr::is_time_dependent(*parse("n + 1"), ctx()));
+    EXPECT_TRUE(expr::testing::is_time_dependent(*parse("x + 1"), ctx()));
+    EXPECT_FALSE(expr::testing::is_time_dependent(*parse("n + 1"), ctx()));
     // A clock variable with zero rate (frozen) is not time dependent.
     add("frozen", Value(1.0), 0.0, Type::clock());
-    EXPECT_FALSE(expr::is_time_dependent(*parse("frozen"), ctx()));
+    EXPECT_FALSE(expr::testing::is_time_dependent(*parse("frozen"), ctx()));
 }
 
 // Property sweep: satisfying_times agrees with pointwise evaluation.
@@ -252,7 +270,7 @@ TEST_P(TimelinePointwise, AgreesWithDirectEvaluation) {
     slim::resolve_expr(*e, table, sink);
     sink.throw_if_errors("test");
     const expr::TimedEvalContext tctx{values, {}, rates};
-    const IntervalSet s = expr::satisfying_times(*e, tctx);
+    const IntervalSet s = expr::testing::satisfying_times(*e, tctx);
 
     // Compare against explicit evaluation at sampled time points (avoiding
     // boundaries where the closed over-approximation may differ).

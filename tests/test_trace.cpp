@@ -35,9 +35,10 @@ TEST(TraceTest, DescribeStepNamesTransition) {
     eda::NetworkState s = net.initial_state();
     Rng rng(1);
     net.elapse(s, 20.0);
-    const auto cands = net.candidates(s, 120.0);
+    eda::SimScratch scratch;
+    const auto cands = net.candidates(s, 120.0, scratch);
     ASSERT_FALSE(cands.empty());
-    const eda::StepInfo info = net.execute(s, cands[0], rng);
+    const eda::StepInfo info = net.execute(s, cands[0], rng, scratch);
     const std::string text = describe_step(net, info);
     EXPECT_NE(text.find("gps: acquisition -> active"), std::string::npos);
 }
@@ -46,9 +47,10 @@ TEST(TraceTest, DescribeStepOnMarkovian) {
     const eda::Network net = eda::build_network_from_source(models::gps_source());
     eda::NetworkState s = net.initial_state();
     Rng rng(2);
-    const auto rates = net.markovian_rates(s);
+    eda::SimScratch scratch;
+    const auto rates = net.markovian_rates(s, scratch);
     ASSERT_EQ(rates.size(), 1u);
-    const eda::StepInfo info = net.execute_markovian(s, rates[0].process, rng);
+    const eda::StepInfo info = net.execute_markovian(s, rates[0].process, rng, scratch);
     const std::string text = describe_step(net, info);
     EXPECT_NE(text.find("gps#error: ok ->"), std::string::npos);
     EXPECT_NE(text.find("(rate"), std::string::npos);
@@ -57,7 +59,8 @@ TEST(TraceTest, DescribeStepOnMarkovian) {
 TEST(TraceTest, CandidateDescribe) {
     const eda::Network net = eda::build_network_from_source(models::gps_source());
     const eda::NetworkState s = net.initial_state();
-    const auto cands = net.candidates(s, 120.0);
+    eda::SimScratch scratch;
+    const auto cands = net.candidates(s, 120.0, scratch);
     ASSERT_EQ(cands.size(), 1u);
     const std::string text = cands[0].describe(net.model());
     EXPECT_NE(text.find("tau gps"), std::string::npos);

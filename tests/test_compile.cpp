@@ -201,7 +201,9 @@ private:
         case 5:
             return "(if " + boolean(depth - 1) + " then " + integer(depth - 1) + " else " +
                    integer(depth - 1) + ")";
-        default: return "(" + integer(depth - 1) + " / " + zero_int() + ")";
+        default: // division or modulo by zero
+            return "(" + integer(depth - 1) + (rng_.bernoulli(0.5) ? " / " : " mod ") +
+                   zero_int() + ")";
         }
     }
 
@@ -265,7 +267,9 @@ TEST(CompiledExpr, RandomExpressionsMatchTreeWalkers) {
     }
     std::size_t expressions = 0;
     std::size_t run_errors = 0;
+    std::size_t mod_errors = 0;
     std::size_t timed_errors = 0;
+    std::size_t non_affine_errors = 0;
     std::size_t bounded_sets = 0;
     // A private cache: the process-wide one keeps the first-compiled source
     // location of each structure, which other tests may have set.
@@ -313,6 +317,7 @@ TEST(CompiledExpr, RandomExpressionsMatchTreeWalkers) {
                     << prog_value->to_string() << " vs " << tree_value->to_string();
             } else {
                 ++run_errors;
+                if (tree_error.find("modulo") != std::string::npos) ++mod_errors;
             }
             if (!is_bool) continue;
 
@@ -327,6 +332,9 @@ TEST(CompiledExpr, RandomExpressionsMatchTreeWalkers) {
             EXPECT_EQ(prog_timed_error, tree_timed_error);
             if (!tree_timed_error.empty()) {
                 ++timed_errors;
+                if (tree_timed_error.find("not affine") != std::string::npos) {
+                    ++non_affine_errors;
+                }
                 continue;
             }
             ASSERT_EQ(prog_set.parts().size(), tree_set.parts().size())
@@ -344,10 +352,13 @@ TEST(CompiledExpr, RandomExpressionsMatchTreeWalkers) {
         }
     }
     EXPECT_GE(expressions, 2000u);
-    // The draws reach every outcome: value errors, timed errors (division by
-    // zero or non-affine products of clocks) and time-bounded sets.
+    // The draws reach every outcome: value errors (modulo by zero among
+    // them), timed errors (division by zero or non-affine products of
+    // clocks) and time-bounded sets.
     EXPECT_GT(run_errors, 100u);
+    EXPECT_GT(mod_errors, 20u);
     EXPECT_GT(timed_errors, 100u);
+    EXPECT_GT(non_affine_errors, 20u);
     EXPECT_GT(bounded_sets, 100u);
 }
 

@@ -395,8 +395,9 @@ void bias_demo(benchio::Report& report) {
     // Synthetic workload reproducing the hazard of [21]: true p = 0.5, but
     // success paths are fast (one tick) while failure paths are slow (two
     // ticks). With 16 workers and a small sample target, stopping on
-    // first-come consumption systematically misses the slow failures still
-    // in flight; round-robin consumption (one sample per worker per round)
+    // first-come consumption (each sample counted as it arrives)
+    // systematically misses the slow failures still in flight; round-robin
+    // consumption through the collector (one sample per worker per round)
     // accepts every worker's stream in its true order and stays unbiased.
     constexpr std::size_t kWorkers = 16;
     constexpr std::size_t kTarget = 48;
@@ -411,28 +412,33 @@ void bias_demo(benchio::Report& report) {
         for (int trial = 0; trial < kTrials; ++trial) {
             stat::SampleCollector collector(kWorkers);
             stat::BernoulliSummary summary;
+            // Arrival order is first-come order: without the collector a
+            // sample counts the moment it arrives.
+            const auto arrive = [&](std::size_t w, bool sample) {
+                if (round_robin) {
+                    collector.push(w, sample);
+                } else {
+                    summary.add(sample);
+                }
+            };
             std::vector<int> busy_until(kWorkers, 0); // failure = 2 ticks
             std::vector<char> pending(kWorkers, 0);
             for (int tick = 0; summary.count < kTarget; ++tick) {
                 for (std::size_t w = 0; w < kWorkers; ++w) {
                     if (busy_until[w] > tick) continue;
                     if (pending[w] != 0) {
-                        collector.push(w, false); // slow failure completes
+                        arrive(w, false); // slow failure completes
                         pending[w] = 0;
                     }
                     if (rng.bernoulli(0.5)) {
-                        collector.push(w, true); // fast success, done now
+                        arrive(w, true); // fast success, done now
                     } else {
                         pending[w] = 1; // failure needs one more tick
                         busy_until[w] = tick + 2;
                     }
                 }
-                if (round_robin) {
-                    while (summary.count < kTarget &&
-                           collector.drain_rounds(summary, 1) > 0) {
-                    }
-                } else {
-                    collector.drain_unordered(summary);
+                while (round_robin && summary.count < kTarget &&
+                       collector.drain_rounds(summary, 1) > 0) {
                 }
             }
             total += summary.mean();

@@ -1,16 +1,14 @@
-// Advanced analyses on a repairable system: adaptive stopping, qualitative
-// SPRT, and a nested probabilistic operator (the paper's Sec. VII wishlist).
+// Advanced analyses on a repairable system: adaptive stopping and a
+// qualitative SPRT.
 //
 //   $ ./availability_study
 //
 // Model: a component that fails at 1/h and is repaired at 4/h. Questions:
 //  1. P( <> [0,8h] down )             — estimation, CH vs Chow-Robbins cost
 //  2. is P( <> [0,8h] down ) >= 0.95? — SPRT hypothesis test
-//  3. P( <> [0,8h] "risky" ) where risky := P>=0.5( <> [0,30min] down )
-//     — a nested operator decided by memoized sub-simulations
 #include <cstdio>
 
-#include "sim/nested.hpp"
+#include "sim/hypothesis.hpp"
 #include "sim/runner.hpp"
 #include "slim/parser.hpp"
 
@@ -64,21 +62,6 @@ int main() {
         const auto verdict =
             sim::test_hypothesis(net, prop, sim::StrategyKind::Progressive, 0.95, 2, hopt);
         std::printf("  %s\n", verdict.to_string().c_str());
-
-        std::puts("\n== 3. nested: P( <> [0,8h] P>=0.5( <> [0,30min] down ) ) ==");
-        sim::PathFormula inner =
-            sim::make_reachability(net.model(), "down", 30.0 * 60.0);
-        // From `ok`: P(down within 30 min) = 1 - e^{-0.5} ~ 0.39 < 0.5;
-        // from `failed` it is 1. So "risky" marks exactly the down states,
-        // and the nested query equals question 1.
-        const sim::StateFormula risky =
-            sim::StateFormula::probability_at_least(inner, 0.5, 0.05, 0.01);
-        sim::NestedOptions nopt;
-        nopt.eps = 0.01;
-        const auto nested = sim::estimate_nested(net, risky, mission, 3, nopt);
-        std::printf("  %s\n", nested.to_string().c_str());
-        std::puts("  (inner truth is memoized per discrete state: 2 sub-simulations"
-                  " answer thousands of queries)");
         return 0;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());

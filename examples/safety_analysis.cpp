@@ -7,10 +7,7 @@
 #include <string>
 
 #include "models/launcher.hpp"
-#include "safety/fault_tree.hpp"
-#include "safety/fdir.hpp"
 #include "safety/fmea.hpp"
-#include "slim/parser.hpp"
 
 int main(int argc, char** argv) {
     using namespace slimsim;
@@ -37,30 +34,11 @@ int main(int argc, char** argv) {
         std::fputs(safety::format_cut_sets(sets).c_str(), stdout);
         std::printf("(%zu minimal cut sets)\n\n", sets.size());
 
-        std::printf("== fault tree (basic-event probabilities over %.0f min) ==\n",
-                    mission_min);
-        const auto tree =
-            safety::build_fault_tree(net, prop.goal, mission_min * 60.0, order);
-        std::fputs(tree.to_string().c_str(), stdout);
-        std::puts("");
-
         std::printf("== FMEA, failure condition within %.0f min ==\n", mission_min);
         safety::FmeaOptions opt;
         opt.eps = 0.03;
         const auto rows = safety::fmea(net, prop.goal, mission_min * 60.0, 2024, opt);
         std::fputs(safety::format_fmea(rows).c_str(), stdout);
-        std::puts("");
-
-        std::printf("== FDIR coverage (15 min window) ==\n");
-        const auto alarm = sim::resolve_goal(
-            net.model(), slim::parse_expression("not dpu1.command or not dpu2.command"));
-        const auto nominal = sim::resolve_goal(
-            net.model(), slim::parse_expression("dpu1.command and dpu2.command"));
-        safety::FdirOptions fdir_opt;
-        fdir_opt.eps = 0.05;
-        const auto coverage =
-            safety::fdir_coverage(net, alarm, nominal, 15.0 * 60.0, 7, fdir_opt);
-        std::fputs(safety::format_fdir(coverage).c_str(), stdout);
         return 0;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());

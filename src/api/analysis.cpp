@@ -471,7 +471,6 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
         sim_options.progress.min_samples = criterion->min_sample_count();
         sim::ParallelOptions po;
         po.workers = request.workers;
-        po.collection = request.collection;
         po.sim = sim_options;
         po.tracer = tracer;
         const auto t0 = std::chrono::steady_clock::now();

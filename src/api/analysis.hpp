@@ -66,7 +66,6 @@ struct AnalysisRequest {
     double eps = 0.01;   // error bound
     std::uint64_t seed = 1;
     std::size_t workers = 1; // EstimateParallel: worker thread count
-    sim::CollectionMode collection = sim::CollectionMode::RoundRobin;
     /// Per-path simulation options. `sim.control` carries the run-hardening
     /// surface (docs/robustness.md): budgets, fault policy, interrupt flag
     /// and checkpoint/resume. Hardening is rejected for HypothesisTest and

@@ -213,6 +213,8 @@ double parse_duration(const std::string& text) {
     if (!(is >> value)) throw Error("cannot parse duration `" + text + "`");
     std::string unit;
     is >> unit;
+    std::string rest;
+    if (is >> rest) throw Error("unexpected `" + rest + "` in duration `" + text + "`");
     if (unit.empty() || unit == "sec" || unit == "s") return value;
     if (unit == "msec" || unit == "ms") return value * 1e-3;
     if (unit == "min") return value * 60.0;
@@ -334,7 +336,11 @@ int run(int argc, char** argv) {
         } else if (arg == "--goal") {
             goal_text = need_value(i, "--goal");
         } else if (arg == "--bound") {
-            bound = parse_duration(need_value(i, "--bound"));
+            const std::string text = need_value(i, "--bound");
+            bound = parse_duration(text);
+            if (!(bound > 0.0)) {
+                throw Error("--bound expects a positive duration, got `" + text + "`");
+            }
         } else if (arg == "--property") {
             property_text = need_value(i, "--property");
         } else if (arg == "--strategy") {

@@ -57,12 +57,12 @@ namespace {
 
 /// Packs a state's discrete projection (locations, non-timed values,
 /// activation) into a fixed number of words; two packings are equal exactly
-/// when the states' eda::DiscreteKeys are. Layout: the locations as int32
-/// pairs; one word per non-timed variable, holding the bits of
-/// `as_real() + 0.0` for a numeric (the `+ 0.0` merges -0.0 with +0.0, as
-/// Value::operator== does) or 0/1 for a bool; one mask bit per such
-/// variable that holds a bool, so `true` and `1` stay distinct; then the
-/// activation bytes.
+/// when the states agree on locations, activation and every non-timed value
+/// under Value::operator==. Layout: the locations as int32 pairs; one word
+/// per non-timed variable, holding the bits of `as_real() + 0.0` for a
+/// numeric (the `+ 0.0` merges -0.0 with +0.0, as Value::operator== does) or
+/// 0/1 for a bool; one mask bit per such variable that holds a bool, so
+/// `true` and `1` stay distinct; then the activation bytes.
 class KeyPacker {
 public:
     explicit KeyPacker(const slim::InstanceModel& m)

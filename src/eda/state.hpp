@@ -22,22 +22,4 @@ struct NetworkState {
     }
 };
 
-/// Discrete projection of a state (locations + non-timed variable values +
-/// activation). Used as the memo key of sim/nested's inner checks; only
-/// valid for untimed models, where timed variables never influence
-/// behaviour.
-struct DiscreteKey {
-    std::vector<int> locations;
-    std::vector<Value> values; // only the non-timed variables, in var order
-    std::vector<char> active;
-
-    friend bool operator==(const DiscreteKey&, const DiscreteKey&) = default;
-
-    [[nodiscard]] std::size_t hash() const;
-};
-
-struct DiscreteKeyHash {
-    std::size_t operator()(const DiscreteKey& k) const { return k.hash(); }
-};
-
 } // namespace slimsim::eda

@@ -48,17 +48,6 @@ bool is_logical(BinaryOp op) {
     return op == BinaryOp::And || op == BinaryOp::Or || op == BinaryOp::Implies;
 }
 
-bool is_arithmetic(BinaryOp op) {
-    switch (op) {
-    case BinaryOp::Add:
-    case BinaryOp::Sub:
-    case BinaryOp::Mul:
-    case BinaryOp::Div:
-    case BinaryOp::Mod: return true;
-    default: return false;
-    }
-}
-
 std::string Expr::to_string() const {
     std::ostringstream os;
     switch (kind) {
@@ -158,10 +147,6 @@ ExprPtr make_ite(ExprPtr cond, ExprPtr then_e, ExprPtr else_e, SourceLoc loc) {
     e->b = std::move(then_e);
     e->c = std::move(else_e);
     return e;
-}
-
-bool is_literal_true(const Expr& e) {
-    return e.kind == ExprKind::Literal && e.literal.is_bool() && e.literal.as_bool();
 }
 
 ExprPtr clone(const Expr& e) {

@@ -27,7 +27,6 @@ enum class BinaryOp : std::uint8_t {
 [[nodiscard]] std::string to_string(BinaryOp op);
 [[nodiscard]] bool is_comparison(BinaryOp op);
 [[nodiscard]] bool is_logical(BinaryOp op);
-[[nodiscard]] bool is_arithmetic(BinaryOp op);
 
 enum class ExprKind : std::uint8_t { Literal, Var, Unary, Binary, Ite };
 
@@ -70,9 +69,6 @@ struct Expr {
 [[nodiscard]] ExprPtr make_unary(UnaryOp op, ExprPtr operand, SourceLoc loc = {});
 [[nodiscard]] ExprPtr make_binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs, SourceLoc loc = {});
 [[nodiscard]] ExprPtr make_ite(ExprPtr cond, ExprPtr then_e, ExprPtr else_e, SourceLoc loc = {});
-
-/// True if the expression is the literal `true`.
-[[nodiscard]] bool is_literal_true(const Expr& e);
 
 /// Deep copy (used when one declaration must be resolved in several scopes).
 [[nodiscard]] ExprPtr clone(const Expr& e);

@@ -123,7 +123,6 @@ public:
                                          EvalScratch& scratch) const;
 
     [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-    [[nodiscard]] std::size_t insn_count() const { return code_.size(); }
     [[nodiscard]] std::size_t bytecode_bytes() const {
         return code_.size() * sizeof(Insn) + nodes_.size() * sizeof(ProgramNode);
     }

@@ -3,8 +3,6 @@
 #include <charconv>
 #include <cmath>
 
-#include "support/hash.hpp"
-
 namespace slimsim {
 
 Value Value::default_for(const Type& t) {
@@ -54,13 +52,6 @@ std::string Value::to_string() const {
     std::string s(buf, end);
     if (s.find_first_of(".eEn") == std::string::npos) s += ".0";
     return s;
-}
-
-std::size_t Value::hash() const {
-    if (is_bool()) return as_bool() ? 0x9E3779B9u : 0x85EBCA6Bu;
-    // Numerics compare as reals, so they hash as reals: 1 and 1.0 alike.
-    // Adding +0.0 turns -0.0 into +0.0, which compares equal to it.
-    return static_cast<std::size_t>(double_bits(as_real() + 0.0));
 }
 
 } // namespace slimsim

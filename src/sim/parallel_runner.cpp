@@ -61,24 +61,14 @@ private:
 };
 
 /// Rejects requests the threaded loop cannot serve; `curve` is null for a
-/// scalar run. Curve runs ignore ParallelOptions::collection.
+/// scalar run.
 void validate_threaded(const TimedReachability& property, StrategyKind strategy,
                        const CurveOptions* curve, const ParallelOptions& options) {
     if (strategy == StrategyKind::Input) {
         throw Error("the input strategy cannot be used in parallel runs");
     }
     if (options.workers < 1) throw Error("worker count must be at least 1");
-    if (curve != nullptr) {
-        validate_curve_request(property, *curve);
-        return;
-    }
-    if (options.sim.coverage && options.collection != CollectionMode::RoundRobin) {
-        throw Error("coverage profiling requires round-robin collection");
-    }
-    if (options.sim.control.per_path_streams() &&
-        options.collection != CollectionMode::RoundRobin) {
-        throw Error("checkpoint/resume requires round-robin collection");
-    }
+    if (curve != nullptr) validate_curve_request(property, *curve);
 }
 
 /// The threaded sampling loop behind estimate_parallel() and
@@ -324,17 +314,11 @@ EstimationResult run_threaded(const eda::Network& net, const TimedReachability& 
             // every worker count.
             consumed = collector.drain_ordered(last, curve_summary, &terminal_tags, done,
                                                &total_steps);
-        } else if (options.collection == CollectionMode::RoundRobin) {
+        } else {
             // Every complete round in one call, stopping after the exact
             // round where done() turns true: the accepted sample set is the
             // first R rounds, deterministic in (seed, k).
             consumed = collector.drain_rounds(last, &terminal_tags, done, &total_steps);
-        } else {
-            // First-come draining has no per-sample hook; the mark lands at
-            // whatever count the drain reached (not deterministic — neither
-            // is this collection mode).
-            consumed = collector.drain_unordered(last, &terminal_tags, &total_steps);
-            if (consumed > 0) mark_trajectory();
         }
         if (consumed > 0) {
             live.add_samples(consumed);

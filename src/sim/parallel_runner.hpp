@@ -4,22 +4,16 @@
 // RNG stream split(seed, i)); samples are consumed in *rounds* — one sample
 // from every worker per round — via stat::SampleCollector, which removes the
 // completion-order bias of naive parallel collection [21] and makes the
-// result deterministic in (seed, worker count). The biased first-come
-// collection mode is kept for the bias-demonstration bench.
+// result deterministic in (seed, worker count). bench_parallel's bias demo
+// contrasts this with first-come consumption.
 #pragma once
 
 #include "sim/runner.hpp"
 
 namespace slimsim::sim {
 
-enum class CollectionMode : std::uint8_t {
-    RoundRobin, // unbiased, deterministic in (seed, workers)
-    FirstCome,  // completion-order consumption: biased; for demonstration
-};
-
 struct ParallelOptions {
     std::size_t workers = 4;
-    CollectionMode collection = CollectionMode::RoundRobin;
     SimOptions sim;
     /// Optional execution tracer: one lane per worker ("worker N") plus a
     /// "collector" lane with round-boundary instant events. Worker lanes
@@ -59,9 +53,8 @@ struct ParallelOptions {
 /// consumes at sample granularity in global path order (drain_ordered), so
 /// the accepted set, the stop point, and hence every curve point are
 /// byte-identical for every worker count — a strictly stronger guarantee
-/// than estimate_parallel's per-fixed-k determinism. Witness capture and the
-/// FirstCome collection mode are not supported in curve mode
-/// (ParallelOptions::collection and sim.witness are ignored).
+/// than estimate_parallel's per-fixed-k determinism. Witness capture is not
+/// supported in curve mode (sim.witness is ignored).
 [[nodiscard]] CurveResult estimate_curve_parallel(const eda::Network& net,
                                                   const TimedReachability& property,
                                                   StrategyKind strategy,

@@ -149,22 +149,6 @@ std::size_t SampleCollector::drain_ordered(BernoulliSummary& summary, CurveSumma
     return consumed;
 }
 
-std::size_t SampleCollector::drain_unordered(BernoulliSummary& summary,
-                                             std::vector<std::uint64_t>* tag_counts,
-                                             std::uint64_t* steps) {
-    std::lock_guard lock(mutex_);
-    const DrainTimer timer(m_drain_);
-    std::size_t consumed = 0;
-    for (std::size_t w = 0; w < buffers_.size(); ++w) {
-        while (!buffers_[w].empty()) {
-            consume_locked(summary, w, tag_counts, nullptr, steps);
-            ++consumed;
-        }
-    }
-    if (m_depth_ != nullptr) m_depth_->set(static_cast<double>(pushed_ - accepted_));
-    return consumed;
-}
-
 std::size_t SampleCollector::buffered() const {
     std::lock_guard lock(mutex_);
     std::size_t total = 0;

@@ -85,11 +85,6 @@ public:
                              std::vector<std::uint64_t>* tag_counts = nullptr,
                              std::uint64_t* steps = nullptr);
 
-    /// Unbiased (first-come) consumption, for the bias-demonstration bench.
-    std::size_t drain_unordered(BernoulliSummary& summary,
-                                std::vector<std::uint64_t>* tag_counts = nullptr,
-                                std::uint64_t* steps = nullptr);
-
     /// Round-robin consumption at *sample* granularity, for curve and
     /// coverage estimation: consumes in global accepted order (sample r of
     /// worker 0, 1, ..., K-1, then sample r+1, ...), resuming mid-round

@@ -232,6 +232,14 @@ TEST_F(CliTest, CutSetsMode) {
     EXPECT_NE(res.output.find("sensor0:failed"), std::string::npos);
 }
 
+TEST_F(CliTest, FmeaMode) {
+    const CliResult res = run_cli(failover_file() +
+                                  " --goal failed --bound '10 hour' --fmea --eps 0.1");
+    EXPECT_EQ(res.exit_code, 0);
+    EXPECT_NE(res.output.find("primary:worn"), std::string::npos);
+    EXPECT_NE(res.output.find("backup:worn"), std::string::npos);
+}
+
 TEST_F(CliTest, ParallelWorkers) {
     const CliResult res =
         run_cli(gps_file() + "  --goal gps.measurement --bound 1800 --eps 0.05 "
@@ -291,6 +299,27 @@ TEST_F(CliTest, InvalidDeltaFailsWithDiagnostic) {
         run_cli(gps_file() + "  --goal gps.measurement --bound 1800 --delta banana");
     EXPECT_EQ(junk.exit_code, 1);
     EXPECT_NE(junk.output.find("--delta"), std::string::npos);
+}
+
+TEST_F(CliTest, BoundRejectsTrailingTokens) {
+    // '30 min later' must not run silently as 1800 s.
+    const CliResult res =
+        run_cli(gps_file() + "  --goal gps.measurement --bound '30 min later' --eps 0.1");
+    EXPECT_EQ(res.exit_code, 1);
+    EXPECT_NE(res.output.find("error:"), std::string::npos);
+    EXPECT_NE(res.output.find("`later`"), std::string::npos);
+    EXPECT_EQ(res.output.find("~="), std::string::npos);
+}
+
+TEST_F(CliTest, NonPositiveBoundIsReportedByName) {
+    for (const char* bound : {"-5", "0", "'0 min'"}) {
+        SCOPED_TRACE(bound);
+        const CliResult res = run_cli(gps_file() + "  --goal gps.measurement --bound " +
+                                      bound + " --eps 0.1");
+        EXPECT_EQ(res.exit_code, 1);
+        EXPECT_NE(res.output.find("--bound expects a positive duration"), std::string::npos);
+        EXPECT_EQ(res.output.find("a property is required"), std::string::npos);
+    }
 }
 
 TEST_F(CliTest, CurveGridMode) {

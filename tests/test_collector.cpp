@@ -45,16 +45,6 @@ TEST(Collector, MaxRoundsLimitsConsumption) {
     EXPECT_EQ(c.buffered(), 2u);
 }
 
-TEST(Collector, UnorderedDrainTakesEverything) {
-    SampleCollector c(3);
-    c.push(0, true);
-    c.push(0, true);
-    c.push(2, false);
-    BernoulliSummary s;
-    EXPECT_EQ(c.drain_unordered(s), 3u);
-    EXPECT_EQ(c.buffered(), 0u);
-}
-
 TEST(Collector, RoundRobinOrderIsPerWorkerFifo) {
     SampleCollector c(2);
     c.push(0, true);
@@ -264,17 +254,16 @@ TEST(Collector, RoundRobinEliminatesSpeedBias) {
         (b ? w1_success : w1_failure).push_back(b ? 1 : 0);
     }
 
-    // First-come: all of worker 1's early (success-only) deliveries count.
+    // First-come: every sample counts as it arrives, so all of worker 1's
+    // early (success-only) deliveries count.
     {
-        SampleCollector c(2);
         BernoulliSummary s;
         std::size_t i0 = 0, i1 = 0;
         while (s.count < target) {
             // Worker 1 "races ahead" with successes.
-            if (i1 < w1_success.size()) c.push(1, w1_success[i1++] != 0);
-            if (i1 < w1_success.size()) c.push(1, w1_success[i1++] != 0);
-            if (i0 < w0.size()) c.push(0, w0[i0++] != 0);
-            c.drain_unordered(s);
+            if (i1 < w1_success.size()) s.add(w1_success[i1++] != 0);
+            if (i1 < w1_success.size()) s.add(w1_success[i1++] != 0);
+            if (i0 < w0.size()) s.add(w0[i0++] != 0);
         }
         EXPECT_GT(s.mean(), 0.6); // visibly biased
     }
@@ -293,22 +282,6 @@ TEST(Collector, RoundRobinEliminatesSpeedBias) {
         }
         EXPECT_NEAR(s.mean(), 0.5, 0.06);
     }
-}
-
-TEST(Collector, UnorderedDrainGrowsTagCounts) {
-    // Regression: every drain path shares consume_locked, so a tag larger
-    // than the current tag_counts size must grow the vector on the unordered
-    // path too (not just drain_rounds).
-    SampleCollector c(2);
-    c.push(0, TaggedSample{true, 200});
-    c.push(1, TaggedSample{false, 3});
-    std::vector<std::uint64_t> tags;
-    BernoulliSummary s;
-    EXPECT_EQ(c.drain_unordered(s, &tags), 2u);
-    ASSERT_EQ(tags.size(), 201u);
-    EXPECT_EQ(tags[200], 1u);
-    EXPECT_EQ(tags[3], 1u);
-    EXPECT_EQ(tags[0], 0u);
 }
 
 TEST(Collector, OrderedDrainConsumesGlobalOrderAndStopsMidRound) {

@@ -315,12 +315,6 @@ TEST_F(CoverageTest, RejectedOutsideEstimationModes) {
     req.mode = AnalysisMode::HypothesisTest;
     req.threshold = 0.1;
     EXPECT_THROW((void)run_analysis(net, req), Error);
-
-    AnalysisRequest par = base_request(sim::StrategyKind::Progressive);
-    par.mode = AnalysisMode::EstimateParallel;
-    par.workers = 2;
-    par.collection = sim::CollectionMode::FirstCome;
-    EXPECT_THROW((void)run_analysis(net, par), Error);
 }
 
 TEST_F(CoverageTest, ObserverGuardRestoresPreviousObserver) {

@@ -23,7 +23,6 @@
 #include "support/http_server.hpp"
 #include "support/journal.hpp"
 #include "support/metrics_text.hpp"
-#include "support/thread_pool.hpp"
 
 namespace slimsim {
 namespace {
@@ -151,22 +150,6 @@ TEST(MetricsHistogram, ExpositionSeriesAreCumulative) {
     EXPECT_NE(text.find("work_seconds_bucket{le=\"+Inf\"} 3"), std::string::npos);
     EXPECT_NE(text.find("work_seconds_count 3"), std::string::npos);
     EXPECT_NE(text.find("work_seconds_sum 11"), std::string::npos);
-}
-
-// --- thread pool instrumentation --------------------------------------------
-
-TEST(ThreadPoolMetrics, RecordsOneObservationPerTask) {
-    Registry reg(4);
-    {
-        ThreadPool pool(4, nullptr, &reg);
-        for (int i = 0; i < 32; ++i) {
-            pool.submit([] { std::this_thread::yield(); });
-        }
-        pool.wait_idle();
-    }
-    metrics::Histogram& h = reg.histogram("slimsim_pool_task_seconds", "",
-                                          metrics::time_buckets());
-    EXPECT_EQ(h.count(), 32u);
 }
 
 // --- HTTP server ------------------------------------------------------------

@@ -459,26 +459,5 @@ TEST(Network, ModeGatedFlowSwitchesSource) {
     EXPECT_EQ(s.values[net.model().var("sel")], Value(std::int64_t{2}));
 }
 
-TEST(DiscreteKey, HashAgreesWithEquality) {
-    // Numerics compare as reals, so an int and the equal real, and the two
-    // zeros, are one key and must hash alike.
-    const auto key = [](Value v) { return DiscreteKey{{0, 2}, {Value(true), v}, {1}}; };
-    const std::pair<Value, Value> equal[] = {
-        {Value(std::int64_t{1}), Value(1.0)},
-        {Value(std::int64_t{0}), Value(-0.0)},
-        {Value(0.0), Value(-0.0)},
-        {Value(std::int64_t{-7}), Value(-7.0)},
-    };
-    for (const auto& [a, b] : equal) {
-        SCOPED_TRACE(a.to_string() + " vs " + b.to_string());
-        ASSERT_EQ(a, b);
-        EXPECT_EQ(a.hash(), b.hash());
-        ASSERT_EQ(key(a), key(b));
-        EXPECT_EQ(key(a).hash(), key(b).hash());
-    }
-    EXPECT_NE(key(Value(std::int64_t{1})).hash(), key(Value(std::int64_t{2})).hash());
-    EXPECT_NE(key(Value(1.0)).hash(), key(Value(1.5)).hash());
-}
-
 } // namespace
 } // namespace slimsim::eda

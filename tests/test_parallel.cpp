@@ -70,17 +70,6 @@ TEST_F(ParallelTest, DifferentWorkerCountsAgreeStatistically) {
     }
 }
 
-TEST_F(ParallelTest, FirstComeModeStillWorksOnUnbiasedWorkload) {
-    // With homogeneous workers the bias of first-come collection is
-    // negligible; the mode exists to demonstrate the hazard in the bench.
-    const stat::ChernoffHoeffding ch(0.05, 0.03);
-    ParallelOptions po;
-    po.workers = 4;
-    po.collection = CollectionMode::FirstCome;
-    const auto res = estimate_parallel(net, prop, StrategyKind::Progressive, ch, 3, po);
-    EXPECT_NEAR(res.estimate, expected, 0.05);
-}
-
 // Golden byte-identity: the deterministic view of the run report (everything
 // but the "runtime" and "resources" sections) is pinned at fixed seeds, so a
 // change to how samples travel from workers to the consumer cannot move any

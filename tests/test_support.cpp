@@ -1,11 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <set>
+#include <string>
+#include <vector>
 
 #include "support/diagnostics.hpp"
 #include "support/memprobe.hpp"
-#include "support/thread_pool.hpp"
 
 namespace slimsim {
 namespace {
@@ -69,53 +68,6 @@ TEST(MemProbe, GrowsWithAllocation) {
     std::vector<char> hog(64u << 20, 1); // 64 MiB, touched
     const std::size_t after = current_rss_bytes();
     EXPECT_GT(after, before + (32u << 20));
-}
-
-TEST(ThreadPool, RunsAllTasks) {
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 1000; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 1000);
-    EXPECT_EQ(pool.worker_count(), 4u);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPool) {
-    ThreadPool pool(2);
-    pool.wait_idle(); // must not hang
-    std::atomic<bool> ran{false};
-    pool.submit([&ran] { ran = true; });
-    pool.wait_idle();
-    EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 64; ++i) {
-            pool.submit([&counter] { counter.fetch_add(1); });
-        }
-        // no wait_idle: the destructor joins after draining
-    }
-    EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPool, TasksRunConcurrentlyOnDistinctThreads) {
-    ThreadPool pool(4);
-    std::mutex m;
-    std::set<std::thread::id> ids;
-    for (int i = 0; i < 200; ++i) {
-        pool.submit([&] {
-            std::lock_guard lock(m);
-            ids.insert(std::this_thread::get_id());
-        });
-    }
-    pool.wait_idle();
-    EXPECT_GE(ids.size(), 1u);
-    EXPECT_LE(ids.size(), 4u);
 }
 
 } // namespace

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <array>
-#include <span>
 
 #include "sim/path_generator.hpp"
 #include "sim/witness.hpp"
@@ -140,11 +139,9 @@ void validate_curve_request(const TimedReachability& property, const CurveOption
                                          const SimOptions& options = {},
                                          telemetry::RunReport* report = nullptr);
 
-/// Shared by the three venues (sequential, threaded, supervised), whose one
-/// loop each serves scalar and curve runs alike.
-
 /// The curve result of a run whose `curve_summary` was `summary`; the
-/// venue-independent fields move over from `run`.
+/// venue-independent fields move over from `run`. Defined beside the run
+/// consumer (sim/consumer.cpp), which every venue shares.
 [[nodiscard]] CurveResult curve_result(EstimationResult&& run, const CurveOptions& curve,
                                        const stat::CurveSummary& summary);
 
@@ -153,49 +150,10 @@ void validate_curve_request(const TimedReachability& property, const CurveOption
 void quarantine_error(std::vector<std::string>& log, std::uint64_t path_index,
                       const char* what);
 
-/// One worker's quarantined path faults: (local path index, message). Each
-/// worker keeps its first kMaxQuarantinedErrors, which cover every possible
-/// contribution to the globally-ordered first kMaxQuarantinedErrors.
-using WorkerFaults = std::vector<std::pair<std::uint64_t, std::string>>;
-
-/// Merges per-worker quarantined faults over *accepted* samples (local index
-/// < accepted[w]) into global accepted order — sample r of worker w of k is
-/// global path base + r*k + w — appended to the resumed log, bounded.
-[[nodiscard]] std::vector<std::string> merge_fault_log(
-    const std::vector<std::string>& resumed_log, const std::vector<WorkerFaults>& faults,
-    const std::vector<std::uint64_t>& accepted, std::uint64_t base, std::size_t k);
-
-/// Collector tag counts (indexed by PathTerminal, grown on demand) as one
-/// count and as a result's terminal array.
-[[nodiscard]] std::uint64_t tag_count(const std::vector<std::uint64_t>& tags,
-                                      PathTerminal t);
-[[nodiscard]] std::array<std::size_t, kPathTerminalCount> terminal_array(
-    const std::vector<std::uint64_t>& tags);
-
-/// Builds the checkpoint for the accepted state `last`; `terminals` is the
-/// result's terminal array and `curve` is null for a scalar run.
-[[nodiscard]] RunCheckpoint make_run_checkpoint(
-    const RunControlOptions& control, std::uint64_t seed, const std::string& property_text,
-    const std::string& strategy_name, const std::string& criterion_name,
-    const stat::BernoulliSummary& last, std::uint64_t total_steps,
-    const std::array<std::size_t, kPathTerminalCount>& terminals,
-    const std::vector<std::string>& error_log, const stat::CurveSummary* curve);
-
 /// Fills the report's run_status section from the result fields (no-op when
 /// `report` is null).
 void fill_run_status(telemetry::RunReport* report, RunStatus status,
                      const std::string& stop_cause, double achieved_half_width,
                      std::uint64_t path_errors, const std::vector<std::string>& error_log);
-
-/// Fills the report sections every venue fills alike from a finished run
-/// (no-op when `report` is null): the closing trajectory mark, value, counts,
-/// identity, terminals, one WorkerStats per worker, the curve section when
-/// `curve` and `curve_summary` are given, and run_status. The collector,
-/// coverage and supervision sections are the venue's own.
-void fill_report_common(telemetry::RunReport* report, const EstimationResult& result,
-                        const CurveOptions* curve, const stat::CurveSummary* curve_summary,
-                        std::uint64_t required, std::uint64_t seed,
-                        std::span<const std::uint64_t> generated,
-                        std::span<const std::uint64_t> accepted);
 
 } // namespace slimsim::sim

@@ -31,11 +31,9 @@
 #include <unistd.h>
 
 #include "props/pattern.hpp"
-#include "sim/live_metrics.hpp"
+#include "sim/consumer.hpp"
 #include "sim/supervise/setup.hpp"
-#include "stat/collector.hpp"
 #include "stat/curve.hpp"
-#include "support/memprobe.hpp"
 
 namespace slimsim::sim::supervise {
 
@@ -103,16 +101,15 @@ void validate_options(StrategyKind strategy, const SuperviseOptions& options) {
         throw Error("--worker-timeout must be positive");
 }
 
-/// The shared coordinator loop. `curve` and `curve_summary` are null for
-/// scalar runs; in curve mode the summary receives every accepted sample
-/// alongside `last` (which then tracks the largest bound).
+/// The supervised venue: slots of worker subprocesses producing samples for
+/// the run consumer (sim/consumer.hpp). `curve` and `curve_summary` are
+/// null for scalar runs.
 EstimationResult run_core(const eda::Network& net, const TimedReachability& property,
                           StrategyKind strategy, const stat::StopCriterion& criterion,
                           const CurveOptions* curve, stat::CurveSummary* curve_summary,
                           std::uint64_t seed, const SuperviseOptions& options,
                           telemetry::RunReport* report) {
     validate_options(strategy, options);
-    const auto start = Clock::now();
     const std::size_t k = options.processes;
     const RunControlOptions& control = options.sim.control;
     const bool tolerate = control.fault.kind == FaultPolicyKind::Tolerate;
@@ -144,30 +141,11 @@ EstimationResult run_core(const eda::Network& net, const TimedReachability& prop
 
     stat::SampleCollector collector(k);
     collector.set_metrics(options.sim.metrics);
-
-    std::vector<std::uint64_t> terminal_tags;
-    stat::BernoulliSummary last;
-    std::uint64_t total_steps = 0;
-    std::uint64_t base = 0;
-    std::vector<std::string> resumed_log;
-    if (control.resume != nullptr) {
-        const RunCheckpoint& ck = *control.resume;
-        ck.validate(control.model_hash, seed, property.text, strategy_name,
-                    criterion.name(),
-                    curve != nullptr ? curve->bounds : std::vector<double>{});
-        base = ck.cursor;
-        if (curve_summary != nullptr) curve_summary->restore(ck.cursor, ck.curve_tree);
-        last.count = ck.cursor;
-        last.successes = ck.successes;
-        total_steps = ck.total_steps;
-        terminal_tags = ck.terminal_tags;
-        resumed_log = ck.error_log;
-    }
+    RunConsumer consumer(property, strategy_name, criterion, curve, curve_summary, seed,
+                         options.sim, k, &collector, report);
+    const std::uint64_t base = consumer.base();
     setup.base = base;
-    RunGovernor governor(control, start);
-    LiveRunMetrics live(options.sim.metrics, control.budget);
     journal::Journal* jnl = options.sim.journal;
-    if (jnl != nullptr) jnl->begin_workers(k);
 
     // Supervisor instruments (registered once; null when metrics are off).
     metrics::Registry* reg = options.sim.metrics;
@@ -209,7 +187,6 @@ EstimationResult run_core(const eda::Network& net, const TimedReachability& prop
     const std::string exe =
         options.worker_exe.empty() ? "/proc/self/exe" : options.worker_exe;
     std::vector<Slot> slots(k);
-    std::vector<WorkerFaults> worker_faults(k);
     std::uint64_t spawns = 0;
     std::uint64_t restarts_by_reason[3] = {0, 0, 0};
     std::size_t alive_count = 0;
@@ -427,15 +404,7 @@ EstimationResult run_core(const eda::Network& net, const TimedReachability& prop
                 std::string err = r.get_string();
                 if (tag == static_cast<std::uint8_t>(PathTerminal::Error) &&
                     !err.empty()) {
-                    live.add_quarantined();
-                    if (jnl != nullptr) {
-                        jnl->worker(w).emit(journal::Level::Debug, s.recv_local + i,
-                                            "quarantine", err);
-                    }
-                    if (worker_faults[w].size() < kMaxQuarantinedErrors) {
-                        worker_faults[w].emplace_back(s.recv_local + i,
-                                                      std::move(err));
-                    }
+                    consumer.quarantine(w, s.recv_local + i, err.c_str());
                 }
                 frame_block.push_back(stat::TaggedSample{value, tag, time, steps});
             }
@@ -451,48 +420,14 @@ EstimationResult run_core(const eda::Network& net, const TimedReachability& prop
         for (Slot& s : slots) reap(s);
     };
 
-    const std::uint64_t required = criterion.fixed_sample_count().value_or(0);
-    auto criterion_met = [&]() -> bool {
-        return curve_summary != nullptr ? criterion.should_stop_curve(*curve_summary)
-                                        : criterion.should_stop(last);
-    };
-    std::uint64_t next_mark = 1;
-    while (next_mark <= base) next_mark *= 2;
-    auto save_checkpoint = [&] {
-        const auto accepted_now = collector.consumed_per_worker();
-        const std::vector<std::string> log =
-            merge_fault_log(resumed_log, worker_faults, accepted_now, base, k);
-        const std::size_t bytes =
-            make_run_checkpoint(control, seed, property.text, strategy_name,
-                                criterion.name(), last, total_steps,
-                                terminal_array(terminal_tags), log, curve_summary)
-                .save(control.checkpoint_path);
-        live.add_checkpoint(bytes);
-        if (jnl != nullptr) {
-            jnl->emit(journal::Level::Debug, "checkpoint", "checkpoint written",
-                      {{"samples", last.count},
-                       {"bytes", static_cast<std::uint64_t>(bytes)}});
-        }
-    };
-    std::uint64_t next_checkpoint =
-        control.checkpoint_every > 0 ? last.count + control.checkpoint_every : 0;
-    const ProgressFn& progress = options.sim.progress.callback;
-    ProgressOptions progress_options = options.sim.progress;
-    progress_options.budget_max_seconds = control.budget.max_wall_seconds;
-    progress_options.budget_max_samples = control.budget.max_samples;
-    auto last_progress = start;
-    auto elapsed = [&] {
-        return std::chrono::duration<double>(Clock::now() - start).count();
-    };
-
-    bool degraded_stop = false;
+    EstimationResult run;
     try {
         for (std::size_t w = 0; w < k; ++w) spawn(w, 0);
 
         std::vector<struct pollfd> pfds;
         std::vector<std::size_t> pfd_slot;
         char chunk[65536];
-        for (;;) {
+        while (!consumer.stopped()) {
             // Respawns whose backoff expired come first, so a freshly
             // reassigned range starts generating before this iteration's
             // drain — but never after a stop decision (the loop exits
@@ -578,62 +513,16 @@ EstimationResult run_core(const eda::Network& net, const TimedReachability& prop
             }
             if (g_heartbeat_age != nullptr) g_heartbeat_age->set(stalest);
 
-            const std::size_t consumed = collector.drain_ordered(
-                last, curve_summary, &terminal_tags,
-                [&] {
-                    // Sample-granular trajectory marks at power-of-two
-                    // accepted counts — identical to the in-process runners,
-                    // so the trajectory survives byte-diffing against them.
-                    if (last.count == next_mark) {
-                        if (report != nullptr) {
-                            report->stop_trajectory.push_back(
-                                {last.count, required, last.successes});
-                        }
-                        if (jnl != nullptr) {
-                            jnl->emit(journal::Level::Trace, "mark",
-                                      "stop-criterion trajectory mark",
-                                      {{"samples", last.count},
-                                       {"successes", last.successes}});
-                        }
-                        next_mark *= 2;
-                    }
-                    return criterion_met() ||
-                           governor.should_stop(last.count, total_steps,
-                                                tag_count(terminal_tags,
-                                                          PathTerminal::Error));
-                },
-                &total_steps);
-            if (consumed > 0) {
-                live.add_samples(consumed);
-                live.sync_rounds(collector.stats().rounds);
-            }
-            if ((progress || live) && consumed > 0) {
-                const auto pnow = Clock::now();
-                if (std::chrono::duration<double>(pnow - last_progress).count() >=
-                    options.sim.progress.min_interval_seconds) {
-                    const ProgressSnapshot snap = make_progress_snapshot(
-                        last.count, last.successes, required, elapsed(),
-                        progress_options);
-                    live.on_snapshot(snap);
-                    if (progress) progress(snap);
-                    last_progress = pnow;
-                }
-            }
-            if (consumed > 0 && criterion_met()) break;
-            if (governor.should_stop(last.count, total_steps,
-                                     tag_count(terminal_tags, PathTerminal::Error)))
-                break;
-            if (exhausted && consumed == 0) {
+            // Sample-granular draining in global path order, with the same
+            // per-sample decision as the in-process venues.
+            const std::size_t consumed = consumer.drain(true);
+            if (!consumer.stopped() && exhausted && consumed == 0) {
                 // The dead slot's stream can never advance again, so global
                 // path order is blocked for good once its buffer is dry:
                 // degrade with the partial result (never an exception).
-                degraded_stop = true;
+                run.status = RunStatus::Degraded;
+                run.stop_cause = exhausted_cause;
                 break;
-            }
-            if (next_checkpoint != 0 && last.count >= next_checkpoint) {
-                save_checkpoint();
-                while (next_checkpoint <= last.count)
-                    next_checkpoint += control.checkpoint_every;
             }
         }
     } catch (...) {
@@ -642,34 +531,10 @@ EstimationResult run_core(const eda::Network& net, const TimedReachability& prop
     }
     kill_all();
 
-    if (progress || live) {
-        const ProgressSnapshot snap = make_progress_snapshot(
-            last.count, last.successes, required, elapsed(), progress_options);
-        live.on_snapshot(snap);
-        if (progress) progress(snap);
-    }
-
-    const std::vector<std::uint64_t> accepted = collector.consumed_per_worker();
+    const std::vector<std::uint64_t> accepted = consumer.accepted_per_worker();
     std::vector<std::uint64_t> generated(k);
     for (std::size_t w = 0; w < k; ++w) generated[w] = slots[w].recv_local;
-    if (jnl != nullptr) {
-        jnl->merge_workers(accepted, base);
-    }
-    EstimationResult result;
-    if (degraded_stop) {
-        result.status = RunStatus::Degraded;
-        result.stop_cause = exhausted_cause;
-    } else {
-        result.status = governor.status();
-        result.stop_cause = governor.stop_cause();
-    }
-    if (jnl != nullptr) {
-        jnl->emit(journal::Level::Info, "stop", result.stop_cause,
-                  {{"status", std::string(to_string(result.status))},
-                   {"samples", last.count}});
-    }
-    result.error_log = merge_fault_log(resumed_log, worker_faults, accepted, base, k);
-    if (!control.checkpoint_path.empty()) save_checkpoint();
+    run = consumer.finish(std::move(run), generated);
 
     telemetry::SupervisionReport sup;
     sup.enabled = true;
@@ -692,27 +557,8 @@ EstimationResult run_core(const eda::Network& net, const TimedReachability& prop
     sup.reassigned_paths = reassigned;
     if (m_reassigned != nullptr && reassigned > 0) m_reassigned->add(0, reassigned);
 
-    result.estimate = last.mean();
-    result.samples = last.count;
-    result.successes = last.successes;
-    result.strategy = strategy_name;
-    result.criterion = criterion.name();
-    result.terminals = terminal_array(terminal_tags);
-    // A curve's achieved guarantee is the simultaneous band half-width.
-    result.achieved_half_width =
-        curve != nullptr ? stat::simultaneous_half_width(curve->band, curve->delta,
-                                                         curve_summary->size(), last.count)
-                         : criterion.achieved_half_width(last);
-    result.path_errors = tag_count(terminal_tags, PathTerminal::Error);
-    result.peak_rss_bytes = peak_rss_bytes();
-    result.wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    fill_report_common(report, result, curve, curve_summary, required, seed, generated,
-                       accepted);
-    if (report != nullptr) {
-        report->collector = collector.stats();
-        report->supervision = sup;
-    }
-    return result;
+    if (report != nullptr) report->supervision = sup;
+    return run;
 }
 
 } // namespace

@@ -70,4 +70,20 @@ std::vector<Witness> replay_witnesses(
     return out;
 }
 
+std::vector<Witness> replay_run_witnesses(const eda::Network& net,
+                                          const TimedReachability& property,
+                                          Strategy& strategy, const SimOptions& options,
+                                          std::span<const WitnessBuffer> buffers,
+                                          std::span<const std::uint64_t> accepted) {
+    SimOptions replay_options = options;
+    replay_options.trace_lane = nullptr;
+    replay_options.coverage = false;
+    replay_options.coverage_shard = nullptr;
+    replay_options.metrics = nullptr;
+    replay_options.journal = nullptr;
+    const PathGenerator replay_gen(net, property, strategy, replay_options);
+    const auto selected = select_witness_paths(buffers, accepted, options.witness.per_kind);
+    return replay_witnesses(replay_gen, selected, options.witness.max_bytes);
+}
+
 } // namespace slimsim::sim

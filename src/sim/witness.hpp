@@ -81,4 +81,12 @@ private:
     std::span<const std::pair<std::size_t, PathSnapshot>> selected,
     std::size_t max_bytes);
 
+/// A run's witnesses: selects from `buffers` over the per-worker `accepted`
+/// counts and replays the selection on a generator for `property` built
+/// from the run's `options` with every instrument stripped.
+[[nodiscard]] std::vector<Witness> replay_run_witnesses(
+    const eda::Network& net, const TimedReachability& property, Strategy& strategy,
+    const SimOptions& options, std::span<const WitnessBuffer> buffers,
+    std::span<const std::uint64_t> accepted);
+
 } // namespace slimsim::sim

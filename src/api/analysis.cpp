@@ -230,8 +230,6 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
         report.compiled_model.content_hash = hex16(cm->content_hash());
     }
 
-    telemetry::RunReport* rp = request.telemetry ? &report : nullptr;
-
     if (request.coverage && request.mode != AnalysisMode::Estimate &&
         request.mode != AnalysisMode::EstimateParallel) {
         throw Error("coverage profiling is only available in the estimation modes");
@@ -298,7 +296,7 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
         registry = &*local_registry;
     }
     sim_options.metrics = registry;
-    const bool engine_report = rp != nullptr && registry != nullptr && !supervised &&
+    const bool engine_report = request.telemetry && registry != nullptr && !supervised &&
                                request.mode != AnalysisMode::CtmcFlow;
     const sim::EngineCounts engine_start =
         engine_report ? sim::engine_counts(*registry) : sim::EngineCounts{};
@@ -416,7 +414,8 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
     };
 
     switch (request.mode) {
-    case AnalysisMode::Estimate: {
+    case AnalysisMode::Estimate:
+    case AnalysisMode::EstimateParallel: {
         report.params.emplace_back("delta", request.delta);
         report.params.emplace_back("eps", request.eps);
         // Curve mode tightens the per-bound delta so the whole grid carries
@@ -429,73 +428,40 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
                        : request.delta,
             request.eps);
         sim_options.progress.min_samples = criterion->min_sample_count();
-        if (tracer != nullptr) sim_options.trace_lane = tracer->lane("main");
-        const auto t0 = std::chrono::steady_clock::now();
-        if (curve_mode) {
-            sim::CurveOptions co;
-            co.bounds = request.curve_bounds;
-            co.band = request.curve_band;
-            co.delta = request.delta;
-            result.curve =
-                supervised
-                    ? sim::supervise::estimate_curve_supervised(
-                          net, request.property, request.strategy, *criterion, co,
-                          request.seed, supervise_options(), rp)
-                    : sim::estimate_curve(net, request.property, request.strategy,
-                                          *criterion, co, request.seed, sim_options,
-                                          rp);
-            result.value = result.curve.points.back().estimate;
-        } else if (supervised) {
-            result.estimation = sim::supervise::estimate_supervised(
-                net, request.property, request.strategy, *criterion, request.seed,
-                supervise_options(), rp);
-            result.value = result.estimation.estimate;
-        } else {
-            result.estimation = sim::estimate(net, request.property, request.strategy,
-                                              *criterion, request.seed, sim_options, rp);
-            result.value = result.estimation.estimate;
-        }
-        report.phases.push_back({"simulate", seconds_since(t0)});
-        break;
-    }
-    case AnalysisMode::EstimateParallel: {
-        report.params.emplace_back("delta", request.delta);
-        report.params.emplace_back("eps", request.eps);
-        const bool curve_mode = !request.curve_bounds.empty();
-        const auto criterion = stat::make_criterion(
-            request.criterion,
-            curve_mode ? stat::per_bound_delta(request.curve_band, request.delta,
-                                               request.curve_bounds.size())
-                       : request.delta,
-            request.eps);
-        sim_options.progress.min_samples = criterion->min_sample_count();
+        // The threaded venue records on per-worker lanes, the sequential
+        // one on a "main" lane.
+        const bool threaded = request.mode == AnalysisMode::EstimateParallel;
+        if (tracer != nullptr && !threaded) sim_options.trace_lane = tracer->lane("main");
         sim::ParallelOptions po;
         po.workers = request.workers;
         po.sim = sim_options;
         po.tracer = tracer;
+        sim::CurveOptions co;
+        co.bounds = request.curve_bounds;
+        co.band = request.curve_band;
+        co.delta = request.delta;
+        const sim::TimedReachability& prop = request.property;
         const auto t0 = std::chrono::steady_clock::now();
         if (curve_mode) {
-            sim::CurveOptions co;
-            co.bounds = request.curve_bounds;
-            co.band = request.curve_band;
-            co.delta = request.delta;
             result.curve =
-                supervised
-                    ? sim::supervise::estimate_curve_supervised(
-                          net, request.property, request.strategy, *criterion, co,
-                          request.seed, supervise_options(), rp)
-                    : sim::estimate_curve_parallel(net, request.property,
-                                                   request.strategy, *criterion, co,
-                                                   request.seed, po, rp);
+                supervised ? sim::supervise::estimate_curve_supervised(
+                                 net, prop, request.strategy, *criterion, co, request.seed,
+                                 supervise_options(), &report)
+                : threaded ? sim::estimate_curve_parallel(net, prop, request.strategy,
+                                                          *criterion, co, request.seed, po,
+                                                          &report)
+                           : sim::estimate_curve(net, prop, request.strategy, *criterion, co,
+                                                 request.seed, sim_options, &report);
             result.value = result.curve.points.back().estimate;
-        } else if (supervised) {
-            result.estimation = sim::supervise::estimate_supervised(
-                net, request.property, request.strategy, *criterion, request.seed,
-                supervise_options(), rp);
-            result.value = result.estimation.estimate;
         } else {
-            result.estimation = sim::estimate_parallel(
-                net, request.property, request.strategy, *criterion, request.seed, po, rp);
+            result.estimation =
+                supervised ? sim::supervise::estimate_supervised(net, prop, request.strategy,
+                                                                 *criterion, request.seed,
+                                                                 supervise_options(), &report)
+                : threaded ? sim::estimate_parallel(net, prop, request.strategy, *criterion,
+                                                    request.seed, po, &report)
+                           : sim::estimate(net, prop, request.strategy, *criterion,
+                                           request.seed, sim_options, &report);
             result.value = result.estimation.estimate;
         }
         report.phases.push_back({"simulate", seconds_since(t0)});
@@ -514,7 +480,7 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
         const auto t0 = std::chrono::steady_clock::now();
         result.hypothesis =
             sim::test_hypothesis(net, request.property, request.strategy,
-                                 request.threshold, request.seed, ho, rp);
+                                 request.threshold, request.seed, ho, &report);
         report.phases.push_back({"simulate", seconds_since(t0)});
         result.value = result.hypothesis.samples > 0
                            ? static_cast<double>(result.hypothesis.successes) /
@@ -567,8 +533,11 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
         report.params.emplace_back("precision", request.flow.transient.precision);
         ctmc::FlowOptions flow_options = request.flow;
         if (tracer != nullptr) flow_options.trace_lane = tracer->lane("ctmc");
+        // The flow's report entries are engine counters and phases, which
+        // telemetry decides.
         result.flow = ctmc::run_ctmc_flow(net, *request.property.goal,
-                                          request.property.bound, flow_options, rp);
+                                          request.property.bound, flow_options,
+                                          request.telemetry ? &report : nullptr);
         result.value = result.flow.probability;
         break;
     }
@@ -578,55 +547,12 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
     // when the dispatch above throws).
     server.stop();
 
-    // Mirror the engine results into the report even when full telemetry is
-    // off, so the identity/result sections are always populated.
+    // Every engine fills the report's result sections itself, except the
+    // CTMC flow without telemetry, which leaves only the value to this.
     report.value = result.value;
     if (request.coverage) {
         result.coverage = !result.curve.points.empty() ? result.curve.coverage
                                                        : result.estimation.coverage;
-        report.coverage = result.coverage;
-    }
-    if (rp == nullptr) {
-        switch (request.mode) {
-        case AnalysisMode::Estimate:
-        case AnalysisMode::EstimateParallel:
-            if (!result.curve.points.empty()) {
-                report.samples = result.curve.samples;
-                report.successes = result.curve.points.back().successes;
-                report.strategy = result.curve.strategy;
-                report.criterion = result.curve.criterion;
-                report.terminals = sim::terminal_histogram(result.curve.terminals);
-                report.curve = {result.curve.band, result.curve.simultaneous_eps,
-                                result.curve.points};
-                sim::fill_run_status(&report, result.curve.status,
-                                     result.curve.stop_cause,
-                                     result.curve.achieved_half_width,
-                                     result.curve.path_errors, result.curve.error_log);
-                break;
-            }
-            report.samples = result.estimation.samples;
-            report.successes = result.estimation.successes;
-            report.strategy = result.estimation.strategy;
-            report.criterion = result.estimation.criterion;
-            report.terminals = sim::terminal_histogram(result.estimation.terminals);
-            sim::fill_run_status(&report, result.estimation.status,
-                                 result.estimation.stop_cause,
-                                 result.estimation.achieved_half_width,
-                                 result.estimation.path_errors,
-                                 result.estimation.error_log);
-            break;
-        case AnalysisMode::HypothesisTest:
-            report.samples = result.hypothesis.samples;
-            report.successes = result.hypothesis.successes;
-            report.strategy = sim::to_string(request.strategy);
-            report.criterion = "sprt";
-            report.verdict = sim::to_string(result.hypothesis.verdict);
-            break;
-        case AnalysisMode::CtmcFlow: break;
-        // estimate_splitting always receives the report and fills its own
-        // result/run_status/splitting sections.
-        case AnalysisMode::EstimateSplitting: break;
-        }
     }
     // Estimator health diagnostics (docs/observability.md): a pure function
     // of deterministic report fields, so the section is byte-identical

@@ -118,9 +118,9 @@ struct AnalysisRequest {
     };
     SplittingQuery splitting;
 
-    /// Collect the telemetry run report (engine counters and histograms
-    /// read from the metrics registry, phase timings). Off: the report
-    /// carries identity/result fields only and, without a registry,
+    /// Collect the report's engine counters and histograms (read from the
+    /// metrics registry; for CtmcFlow its counters and phases). Off: every
+    /// other report section is filled all the same and, without a registry,
     /// simulation pays no instrumentation cost.
     bool telemetry = true;
 

@@ -99,8 +99,7 @@ void usage() {
         "  --json FILE          write the structured run report as versioned JSON\n"
         "                       ('-' for stdout; schema: docs/run-report.md)\n"
         "  --report             print the human-readable run report\n"
-        "  --no-telemetry       skip engine counters/histograms (identity and\n"
-        "                       result sections of the report only)\n"
+        "  --no-telemetry       skip the report's engine counters/histograms\n"
         "  --compile-stats      print the compiled model's statistics (programs,\n"
         "                       hash-consing dedup, bytecode size, content hash;\n"
         "                       docs/compiled-model.md)\n"

@@ -181,7 +181,40 @@ TEST_F(AnalysisApiTest, TelemetryOffStillReportsResults) {
     EXPECT_EQ(res.report.value, res.value);
     EXPECT_FALSE(res.report.terminals.empty());
     EXPECT_TRUE(res.report.counters.empty());
-    EXPECT_TRUE(res.report.stop_trajectory.empty());
+    EXPECT_FALSE(res.report.stop_trajectory.empty());
+}
+
+// Telemetry decides the report's engine counters and histograms, nothing
+// else: the trajectory, workers, collector and diagnostics sections of a
+// telemetry-off report equal those of the same run with telemetry on.
+TEST_F(AnalysisApiTest, TelemetryOffReportDiffersOnlyInEngineCounts) {
+    auto view = [](const AnalysisResult& res) {
+        const json::Value full = telemetry::deterministic_view(res.report.to_json());
+        json::Value out = json::Value::object();
+        for (const auto& [key, value] : full.members()) {
+            if (key != "counters" && key != "histograms") out[key] = value;
+        }
+        return out.dump(2);
+    };
+    struct Case {
+        AnalysisMode mode;
+        std::size_t workers;
+    };
+    for (const Case c : {Case{AnalysisMode::Estimate, 1}, Case{AnalysisMode::EstimateParallel, 3},
+                         Case{AnalysisMode::HypothesisTest, 1}}) {
+        AnalysisRequest req = base_request();
+        req.mode = c.mode;
+        req.workers = c.workers;
+        req.threshold = 0.5;
+        const AnalysisResult on = run_analysis(net, req);
+        req.telemetry = false;
+        const AnalysisResult off = run_analysis(net, req);
+        EXPECT_EQ(view(off), view(on)) << to_string(c.mode);
+        EXPECT_FALSE(off.report.stop_trajectory.empty()) << to_string(c.mode);
+        if (c.mode != AnalysisMode::HypothesisTest) {
+            EXPECT_FALSE(off.report.diagnostics.items.empty()) << to_string(c.mode);
+        }
+    }
 }
 
 TEST_F(AnalysisApiTest, SharedRegistryReportsEachRunsOwnEngineCounts) {

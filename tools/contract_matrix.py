@@ -12,10 +12,13 @@ cell the committed matrix file (tools/contract_matrix.json) stores:
   * exit     the exit code;
   * stderr   stderr, with the scratch directory replaced by `{tmp}`.
 
-One relation is checked on top of the pinned values (the surfaces axis):
-the cell rerun with --metrics-out, with --log and (unless it uses
---processes, which rejects tracing) with --trace must give the same report
-hash as the plain cell.
+Two relations are checked on top of the pinned values:
+  * surfaces: the cell rerun with --metrics-out, with --log and (unless it
+    uses --processes, which rejects tracing) with --trace must give the
+    same report hash as the plain cell;
+  * no-telemetry: the cell rerun with --no-telemetry must give the same
+    report as the plain cell once `counters` and `histograms` (the only
+    sections telemetry decides) are dropped from both.
 
 Usage: contract_matrix.py [--bin PATH] [--matrix FILE] [--jobs N]
        [--only SUBSTR]... [--update]
@@ -126,7 +129,7 @@ def run(binary, args, extra):
 
 def evaluate(binary, name, args):
     """Runs a cell and its variants; returns (pinned values, relation errors)."""
-    code, stderr, report, _, _ = run(binary, args, [])
+    code, stderr, report, lean, _ = run(binary, args, [])
     pinned = {'args': args, 'json': sha(report), 'exit': code, 'stderr': stderr}
     errors = []
     surfaces = {
@@ -142,6 +145,10 @@ def evaluate(binary, name, args):
         if s_code != code or s_report != report:
             errors.append(f'{name}: --{surface} changes the report '
                           f'(exit {s_code} vs {code})')
+    n_code, _, _, n_lean, _ = run(binary, args, ['--no-telemetry'])
+    if n_code != code or n_lean != lean:
+        errors.append(f'{name}: --no-telemetry changes the report beyond '
+                      f'counters/histograms (exit {n_code} vs {code})')
     return pinned, errors
 
 

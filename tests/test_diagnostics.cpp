@@ -269,47 +269,77 @@ constexpr const char* kRareModel = R"(
 
 // The journal's deterministic fields and the diagnostics section must be
 // byte-identical across worker counts under per-path streams (the ISSUE's
-// acceptance bar for the observability surface).
+// acceptance bar for the observability surface) — and across venues: the
+// sequential venue journals exactly what the threaded one does, and a run
+// with periodic checkpoints writes them at the same accepted counts at
+// every worker count.
 TEST(JournalDeterminism, DeterministicViewIsByteIdenticalAcrossWorkers) {
     const eda::Network net = eda::build_network_from_source(kModel);
-    std::string reference_journal;
-    DiagnosticsReport reference_diag;
-    for (const std::size_t workers :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        journal::Journal journal(journal::Level::Trace);
-        AnalysisRequest req;
-        req.property = sim::make_reachability(net.model(), "broken", 2.0);
-        req.model_label = "fault.slim";
-        req.mode = AnalysisMode::EstimateParallel;
-        req.workers = workers;
-        req.delta = 0.1;
-        req.eps = 0.05;
-        req.seed = 7;
-        req.sim.control.deterministic_streams = true;
-        req.journal = &journal;
-        const AnalysisResult res = run_analysis(net, req);
-        ASSERT_TRUE(res.report.diagnostics.enabled);
+    struct Input {
+        AnalysisMode mode;
+        std::size_t workers;
+        std::uint64_t checkpoint_every;
+    };
+    const std::vector<std::vector<Input>> groups = {
+        {{AnalysisMode::EstimateParallel, 1, 0},
+         {AnalysisMode::EstimateParallel, 2, 0},
+         {AnalysisMode::EstimateParallel, 4, 0},
+         {AnalysisMode::Estimate, 1, 0}},
+        {{AnalysisMode::EstimateParallel, 1, 50},
+         {AnalysisMode::EstimateParallel, 2, 50},
+         {AnalysisMode::EstimateParallel, 4, 50}},
+    };
+    const std::string checkpoint = ::testing::TempDir() + "journal_determinism.ckpt";
+    for (const auto& group : groups) {
+        std::string reference_journal;
+        DiagnosticsReport reference_diag;
+        for (const Input& in : group) {
+            journal::Journal journal(journal::Level::Trace);
+            AnalysisRequest req;
+            req.property = sim::make_reachability(net.model(), "broken", 2.0);
+            req.model_label = "fault.slim";
+            req.mode = in.mode;
+            req.workers = in.workers;
+            req.delta = 0.1;
+            req.eps = 0.05;
+            req.seed = 7;
+            req.sim.control.deterministic_streams = true;
+            if (in.checkpoint_every > 0) {
+                req.sim.control.checkpoint_path = checkpoint;
+                req.sim.control.checkpoint_every = in.checkpoint_every;
+            }
+            req.journal = &journal;
+            const AnalysisResult res = run_analysis(net, req);
+            ASSERT_TRUE(res.report.diagnostics.enabled);
 
-        const std::string jsonl = journal.to_jsonl(/*deterministic_view=*/true);
-        EXPECT_NE(jsonl.find("\"event\":\"run_start\""), std::string::npos);
-        EXPECT_NE(jsonl.find("\"event\":\"mark\""), std::string::npos);
-        EXPECT_NE(jsonl.find("\"event\":\"run_end\""), std::string::npos);
-        // The deterministic view zeroes wall-clock fields.
-        EXPECT_EQ(jsonl.find("\"t\":0,"), jsonl.find("\"t\":"));
-        if (workers == 1) {
-            reference_journal = jsonl;
-            reference_diag = res.report.diagnostics;
-            continue;
-        }
-        EXPECT_EQ(jsonl, reference_journal) << "workers=" << workers;
-        const DiagnosticsReport& diag = res.report.diagnostics;
-        EXPECT_EQ(diag.warnings, reference_diag.warnings);
-        ASSERT_EQ(diag.items.size(), reference_diag.items.size());
-        for (std::size_t i = 0; i < diag.items.size(); ++i) {
-            EXPECT_EQ(diag.items[i].check, reference_diag.items[i].check);
-            EXPECT_EQ(diag.items[i].severity, reference_diag.items[i].severity);
-            EXPECT_EQ(diag.items[i].value, reference_diag.items[i].value);
-            EXPECT_EQ(diag.items[i].hint, reference_diag.items[i].hint);
+            std::string jsonl = journal.to_jsonl(/*deterministic_view=*/true);
+            EXPECT_NE(jsonl.find("\"event\":\"run_start\""), std::string::npos);
+            EXPECT_NE(jsonl.find("\"event\":\"mark\""), std::string::npos);
+            EXPECT_NE(jsonl.find("\"event\":\"run_end\""), std::string::npos);
+            EXPECT_EQ(jsonl.find("\"event\":\"checkpoint\"") != std::string::npos,
+                      in.checkpoint_every > 0);
+            // The deterministic view zeroes wall-clock fields.
+            EXPECT_EQ(jsonl.find("\"t\":0,"), jsonl.find("\"t\":"));
+            // run_start names the mode; everything else must match.
+            const std::string mode = "\"mode\":\"" + to_string(in.mode) + "\"";
+            jsonl.replace(jsonl.find(mode), mode.size(), "\"mode\":\"\"");
+            const std::string label =
+                to_string(in.mode) + " at " + std::to_string(in.workers) + " worker(s)";
+            if (reference_journal.empty()) {
+                reference_journal = jsonl;
+                reference_diag = res.report.diagnostics;
+                continue;
+            }
+            EXPECT_EQ(jsonl, reference_journal) << label;
+            const DiagnosticsReport& diag = res.report.diagnostics;
+            EXPECT_EQ(diag.warnings, reference_diag.warnings) << label;
+            ASSERT_EQ(diag.items.size(), reference_diag.items.size()) << label;
+            for (std::size_t i = 0; i < diag.items.size(); ++i) {
+                EXPECT_EQ(diag.items[i].check, reference_diag.items[i].check);
+                EXPECT_EQ(diag.items[i].severity, reference_diag.items[i].severity);
+                EXPECT_EQ(diag.items[i].value, reference_diag.items[i].value);
+                EXPECT_EQ(diag.items[i].hint, reference_diag.items[i].hint);
+            }
         }
     }
 }

@@ -73,6 +73,13 @@ def cells():
                 base + ESTIMATION_MODES[mode] + ['--processes', '3'] + SEED)
         out[f'{model}/sprt'] = base + ['--test', '0.5'] + SEED
         out[f'{model}/ctmc'] = base + ['--ctmc']
+    # Periodic checkpoints land at exact multiples of N in every venue, so
+    # the journal's checkpoint events are pinned too.
+    checkpoints = MODELS['gps'] + ['--eps', '0.02', '--checkpoint', '{tmp}/run.ckpt',
+                                   '--checkpoint-every', '1000'] + SEED
+    for venue, flags in (('w1', ['--workers', '1']), ('w3', ['--workers', '3']),
+                         ('p3', ['--processes', '3'])):
+        out[f'gps/checkpoint-every/{venue}'] = checkpoints + flags
     out['markov/ctmc'] = MARKOV + ['--ctmc']
     out['markov/scalar/w3'] = MARKOV + ESTIMATION_MODES['scalar'] + ['--workers', '3'] + SEED
     return out

@@ -38,7 +38,6 @@ public:
     /// The resumed global path cursor (0 for a fresh run): worker w of k
     /// owns the global paths base + w, base + w + k, ...
     [[nodiscard]] std::uint64_t base() const { return base_; }
-    [[nodiscard]] std::chrono::steady_clock::time_point start() const { return start_; }
     /// True once the criterion or the governor ended the run. Both are
     /// consulted before the first sample too, so a run whose resumed state
     /// already satisfies them accepts nothing more.

@@ -7,9 +7,8 @@
 //
 // Byte-identity argument (the tentpole invariant): workers only ever
 // *generate* samples; which samples enter the estimate — and in what order
-// — is decided here, by SampleCollector::drain_ordered over global path
-// order, with the exact same stop predicate as the in-process per-path
-// runners. A worker failure merely delays its stream: the replacement
+// — is decided here, by the same run consumer (sim/consumer.hpp) the
+// in-process venues use, draining in global path order. A worker failure merely delays its stream: the replacement
 // regenerates the unacknowledged tail from the same per-path RNG streams
 // (Rng(seed).split(j)), so the accepted prefix — and with it the estimate,
 // terminal histogram, curve, trajectory marks and checkpoint cursor — is

@@ -8,11 +8,12 @@
 // Byte-identity argument (the tentpole invariant): workers only ever
 // *generate* samples; which samples enter the estimate — and in what order
 // — is decided here, by the same run consumer (sim/consumer.hpp) the
-// in-process venues use, draining in global path order. A worker failure merely delays its stream: the replacement
-// regenerates the unacknowledged tail from the same per-path RNG streams
-// (Rng(seed).split(j)), so the accepted prefix — and with it the estimate,
-// terminal histogram, curve, trajectory marks and checkpoint cursor — is
-// identical at every (seed, process count, crash schedule).
+// in-process venues use, draining in global path order. A worker failure
+// merely delays its stream: the replacement regenerates the unacknowledged
+// tail from the same per-path RNG streams (Rng(seed).split(j)), so the
+// accepted prefix — and with it the estimate, terminal histogram, curve,
+// trajectory marks and checkpoint cursor — is identical at every (seed,
+// process count, crash schedule).
 #include "sim/supervise/supervise.hpp"
 
 #include <algorithm>

@@ -23,6 +23,11 @@
 
 namespace slimsim::sim {
 
+/// The curve result of a run whose `curve_summary` was `summary`; the
+/// venue-independent fields move over from `run`.
+[[nodiscard]] CurveResult curve_result(EstimationResult&& run, const CurveOptions& curve,
+                                       const stat::CurveSummary& summary);
+
 class RunConsumer {
 public:
     /// Validates and restores `options.control.resume` against this run's

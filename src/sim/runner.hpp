@@ -139,12 +139,6 @@ void validate_curve_request(const TimedReachability& property, const CurveOption
                                          const SimOptions& options = {},
                                          telemetry::RunReport* report = nullptr);
 
-/// The curve result of a run whose `curve_summary` was `summary`; the
-/// venue-independent fields move over from `run`. Defined beside the run
-/// consumer (sim/consumer.cpp), which every venue shares.
-[[nodiscard]] CurveResult curve_result(EstimationResult&& run, const CurveOptions& curve,
-                                       const stat::CurveSummary& summary);
-
 /// Appends "path N: what" to `log` unless it already holds
 /// kMaxQuarantinedErrors messages.
 void quarantine_error(std::vector<std::string>& log, std::uint64_t path_index,

@@ -20,12 +20,11 @@ Two relations are checked on top of the pinned values:
     report as the plain cell once `counters` and `histograms` (the only
     sections telemetry decides) are dropped from both.
 
-Usage: contract_matrix.py [--bin PATH] [--matrix FILE] [--jobs N]
-       [--only SUBSTR]... [--update]
+Usage: contract_matrix.py [--bin PATH] [--update]
 Without --update every cell is run and compared against the matrix file;
 the exit status is non-zero on any mismatch, unpinned cell or failed
-relation. --update rewrites the pinned values of the selected cells (all
-by default) from this binary; the relations must still hold.
+relation. --update rewrites the pinned values of every cell from this
+binary (unchanged cells keep their values); the relations must still hold.
 """
 
 import argparse
@@ -39,7 +38,8 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEFAULT_MATRIX = ROOT / 'tools' / 'contract_matrix.json'
+MATRIX = ROOT / 'tools' / 'contract_matrix.json'
+JOBS = 2  # cells run concurrently
 RUN_TIMEOUT_S = 120
 
 MODELS = {
@@ -164,26 +164,15 @@ def main():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument('--bin', default=str(ROOT / 'build' / 'src' / 'slimsim'),
                         help='slimsim binary (default build/src/slimsim)')
-    parser.add_argument('--matrix', default=str(DEFAULT_MATRIX),
-                        help='pinned matrix file (default tools/contract_matrix.json)')
-    parser.add_argument('--jobs', type=int, default=2,
-                        help='cells run concurrently (default 2)')
-    parser.add_argument('--only', action='append', default=[], metavar='SUBSTR',
-                        help='run only cells whose name contains SUBSTR (repeatable)')
     parser.add_argument('--update', action='store_true',
-                        help='re-pin the selected cells from this binary')
+                        help='re-pin every cell from this binary')
     opts = parser.parse_args()
 
     binary = os.path.abspath(opts.bin)
-    matrix_path = pathlib.Path(opts.matrix)
-    pinned = json.loads(matrix_path.read_text()) if matrix_path.exists() else {}
-    selected = {n: a for n, a in cells().items()
-                if not opts.only or any(s in n for s in opts.only)}
-    if not selected:
-        raise SystemExit('no cell matches --only')
+    pinned = json.loads(MATRIX.read_text()) if MATRIX.exists() else {}
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, opts.jobs)) as pool:
-        futures = {n: pool.submit(evaluate, binary, n, a) for n, a in selected.items()}
+    with concurrent.futures.ThreadPoolExecutor(max_workers=JOBS) as pool:
+        futures = {n: pool.submit(evaluate, binary, n, a) for n, a in cells().items()}
         results = {n: f.result() for n, f in futures.items()}
 
     failures = []
@@ -191,7 +180,6 @@ def main():
         values, errors = results[name]
         failures.extend(errors)
         if opts.update:
-            pinned[name] = values
             continue
         want = pinned.get(name)
         if want is None:
@@ -203,9 +191,8 @@ def main():
                                 f'  pinned: {want.get(key)!r}\n'
                                 f'  now:    {values.get(key)!r}')
     if opts.update:
-        known = cells()
-        pinned = {n: pinned[n] for n in sorted(pinned) if n in known}
-        matrix_path.write_text(json.dumps(pinned, indent=1, sort_keys=True) + '\n')
+        repinned = {n: values for n, (values, _) in results.items()}
+        MATRIX.write_text(json.dumps(repinned, indent=1, sort_keys=True) + '\n')
     for failure in failures:
         print(f'FAIL {failure}', file=sys.stderr)
     verb = 're-pinned' if opts.update else 'checked'

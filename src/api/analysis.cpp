@@ -208,15 +208,17 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
     report.model = request.model_label;
     report.property = request.property.text;
     report.seed = request.seed;
-    const bool supervised =
-        request.supervision.processes > 0 &&
-        (request.mode == AnalysisMode::Estimate ||
-         request.mode == AnalysisMode::EstimateParallel);
+    // The modes whose samples go through the run consumer (sim/consumer.hpp)
+    // in any of its venues: estimation and the SPRT hypothesis test.
+    const bool consumer_mode = request.mode == AnalysisMode::Estimate ||
+                               request.mode == AnalysisMode::EstimateParallel ||
+                               request.mode == AnalysisMode::HypothesisTest;
+    const bool supervised = request.supervision.processes > 0 && consumer_mode;
     report.workers = supervised ? request.supervision.processes
-                     : request.mode == AnalysisMode::EstimateParallel ||
-                             request.mode == AnalysisMode::EstimateSplitting
-                         ? std::max<std::size_t>(1, request.workers)
-                         : 1;
+                     : request.mode == AnalysisMode::Estimate ||
+                             request.mode == AnalysisMode::CtmcFlow
+                         ? 1
+                         : std::max<std::size_t>(1, request.workers);
     report.phases = request.frontend_phases;
     report.params.emplace_back("bound", request.property.bound);
 
@@ -230,15 +232,14 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
         report.compiled_model.content_hash = hex16(cm->content_hash());
     }
 
-    if (request.coverage && request.mode != AnalysisMode::Estimate &&
-        request.mode != AnalysisMode::EstimateParallel) {
-        throw Error("coverage profiling is only available in the estimation modes");
+    if (request.coverage && !consumer_mode) {
+        throw Error("coverage profiling is only available in the estimation and "
+                    "hypothesis-test modes");
     }
     if (request.supervision.processes > 0) {
-        if (request.mode != AnalysisMode::Estimate &&
-            request.mode != AnalysisMode::EstimateParallel) {
+        if (!consumer_mode) {
             throw Error("process-isolated supervision (--processes) is only "
-                        "available in the estimation modes");
+                        "available in the estimation and hypothesis-test modes");
         }
         if (request.coverage) {
             throw Error("--processes cannot be combined with coverage profiling");
@@ -251,11 +252,9 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
         }
     }
     const sim::RunControlOptions& control = request.sim.control;
-    if (control.hardened() && request.mode != AnalysisMode::Estimate &&
-        request.mode != AnalysisMode::EstimateParallel &&
-        request.mode != AnalysisMode::EstimateSplitting) {
-        throw Error("run budgets, --fault, --checkpoint and --resume are only "
-                    "available in the estimation modes");
+    if (control.hardened() && request.mode == AnalysisMode::CtmcFlow) {
+        throw Error("run budgets, --fault, --checkpoint and --resume are not "
+                    "available in the CTMC flow");
     }
     if (control.resume != nullptr) {
         // A resumed run replays only the tail of the path set, so artifacts
@@ -396,7 +395,7 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
         if (request.serve.on_bound) request.serve.on_bound(port);
     }
 
-    // Supervised execution reuses both estimation arms: the coordinator
+    // Supervised execution reuses the run-consumer arm: the coordinator
     // replaces the in-process engine, everything around it (criterion,
     // curve grid, progress chain, journal, metrics, report) is shared.
     auto supervise_options = [&] {
@@ -415,22 +414,38 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
 
     switch (request.mode) {
     case AnalysisMode::Estimate:
-    case AnalysisMode::EstimateParallel: {
+    case AnalysisMode::EstimateParallel:
+    case AnalysisMode::HypothesisTest: {
+        const bool hypothesis = request.mode == AnalysisMode::HypothesisTest;
+        const bool curve_mode = !hypothesis && !request.curve_bounds.empty();
         report.params.emplace_back("delta", request.delta);
-        report.params.emplace_back("eps", request.eps);
-        // Curve mode tightens the per-bound delta so the whole grid carries
-        // simultaneous 1-delta confidence (no-op for the DKW band).
-        const bool curve_mode = !request.curve_bounds.empty();
-        const auto criterion = stat::make_criterion(
-            request.criterion,
-            curve_mode ? stat::per_bound_delta(request.curve_band, request.delta,
-                                               request.curve_bounds.size())
-                       : request.delta,
-            request.eps);
+        std::unique_ptr<stat::StopCriterion> criterion;
+        if (hypothesis) {
+            report.params.emplace_back("indifference", request.indifference);
+            report.params.emplace_back("threshold", request.threshold);
+            // SPRT's statistic is a function of (count, successes) only, so
+            // checkpoints need no field for it. Like estimation, a threaded
+            // test consults it at round ends under per-worker streams
+            // (deterministic in (seed, workers)), and after every sample under
+            // per-path streams (--checkpoint, --processes): same at any count.
+            criterion = std::make_unique<stat::Sprt>(request.threshold,
+                                                     request.indifference, request.delta);
+        } else {
+            report.params.emplace_back("eps", request.eps);
+            // Curve mode tightens the per-bound delta so the whole grid
+            // carries simultaneous 1-delta confidence (no-op for DKW).
+            criterion = stat::make_criterion(
+                request.criterion,
+                curve_mode ? stat::per_bound_delta(request.curve_band, request.delta,
+                                                   request.curve_bounds.size())
+                           : request.delta,
+                request.eps);
+        }
         sim_options.progress.min_samples = criterion->min_sample_count();
         // The threaded venue records on per-worker lanes, the sequential
         // one on a "main" lane.
-        const bool threaded = request.mode == AnalysisMode::EstimateParallel;
+        const bool threaded = request.mode == AnalysisMode::EstimateParallel ||
+                              (hypothesis && request.workers > 1);
         if (tracer != nullptr && !threaded) sim_options.trace_lane = tracer->lane("main");
         sim::ParallelOptions po;
         po.workers = request.workers;
@@ -465,27 +480,12 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
             result.value = result.estimation.estimate;
         }
         report.phases.push_back({"simulate", seconds_since(t0)});
-        break;
-    }
-    case AnalysisMode::HypothesisTest: {
-        report.params.emplace_back("delta", request.delta);
-        report.params.emplace_back("indifference", request.indifference);
-        report.params.emplace_back("threshold", request.threshold);
-        sim::HypothesisOptions ho;
-        ho.indifference = request.indifference;
-        ho.delta = request.delta;
-        ho.max_samples = request.max_samples;
-        if (tracer != nullptr) sim_options.trace_lane = tracer->lane("main");
-        ho.sim = sim_options;
-        const auto t0 = std::chrono::steady_clock::now();
-        result.hypothesis =
-            sim::test_hypothesis(net, request.property, request.strategy,
-                                 request.threshold, request.seed, ho, &report);
-        report.phases.push_back({"simulate", seconds_since(t0)});
-        result.value = result.hypothesis.samples > 0
-                           ? static_cast<double>(result.hypothesis.successes) /
-                                 static_cast<double>(result.hypothesis.samples)
-                           : 0.0;
+        if (hypothesis) {
+            result.hypothesis = sim::hypothesis_result(
+                result.estimation, static_cast<const stat::Sprt&>(*criterion),
+                request.threshold, request.indifference, request.delta);
+            report.verdict = sim::to_string(result.hypothesis.verdict);
+        }
         break;
     }
     case AnalysisMode::EstimateSplitting: {

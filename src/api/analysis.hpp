@@ -65,14 +65,15 @@ struct AnalysisRequest {
     double delta = 0.05; // 1 - confidence
     double eps = 0.01;   // error bound
     std::uint64_t seed = 1;
-    std::size_t workers = 1; // EstimateParallel: worker thread count
+    std::size_t workers = 1; // threads: EstimateParallel, EstimateSplitting, HypothesisTest
     /// Per-path simulation options. `sim.control` carries the run-hardening
     /// surface (docs/robustness.md): budgets, fault policy, interrupt flag
-    /// and checkpoint/resume. Hardening is rejected for HypothesisTest and
-    /// CtmcFlow; resume cannot be combined with coverage or witness capture.
+    /// and checkpoint/resume. Hardening is rejected for CtmcFlow; resume
+    /// cannot be combined with coverage or witness capture.
     /// Budget-exhausted or interrupted runs return a *partial* result whose
     /// status/stop_cause/achieved_half_width say how far they got — they do
-    /// not throw.
+    /// not throw. The budget is also what caps a HypothesisTest: SPRT has no
+    /// sample cap of its own, and a test stopped by a budget is Inconclusive.
     sim::SimOptions sim;
 
     /// Multi-bound curve estimation (Estimate / EstimateParallel): when
@@ -90,10 +91,10 @@ struct AnalysisRequest {
     std::vector<double> curve_bounds;
     stat::BandKind curve_band = stat::BandKind::DKW;
 
-    // HypothesisTest.
+    // HypothesisTest: stat::Sprt(threshold, indifference, delta) is the stop
+    // criterion of the estimation venues; curve_bounds are ignored.
     double threshold = 0.5;
     double indifference = 0.01;
-    std::size_t max_samples = 10'000'000;
 
     // CtmcFlow.
     ctmc::FlowOptions flow;
@@ -124,13 +125,14 @@ struct AnalysisRequest {
     /// simulation pays no instrumentation cost.
     bool telemetry = true;
 
-    /// Optional execution tracer (docs/tracing.md). Estimate/HypothesisTest
-    /// record on a "main" lane, EstimateParallel on per-worker lanes plus a
-    /// "collector" lane, CtmcFlow on a "ctmc" lane. The caller exports the
+    /// Optional execution tracer (docs/tracing.md). Estimate and a
+    /// one-worker HypothesisTest record on a "main" lane, EstimateParallel
+    /// and a threaded HypothesisTest on per-worker lanes plus a "collector"
+    /// lane, CtmcFlow on a "ctmc" lane. The caller exports the
     /// trace afterwards (Tracer::to_chrome_json; the CLI's --trace flag).
     tracer::Tracer* tracer = nullptr;
 
-    /// Witness capture (estimation modes): retain the first
+    /// Witness capture (estimation and hypothesis-test modes): retain the first
     /// witness.per_kind accepting and non-accepting paths, replayed into
     /// AnalysisResult::estimation.witnesses. Deterministic in
     /// (seed, workers).
@@ -142,13 +144,13 @@ struct AnalysisRequest {
     /// delta and eps above.
     sim::ProgressOptions progress;
 
-    /// Coverage & occupancy profiling (estimation modes): per-mode visit
-    /// counts and time-in-mode occupancy, per-transition fire counts,
-    /// strategy decision histograms and a coverage-saturation series over
-    /// the accepted paths (docs/coverage.md). Profiling switches estimation
-    /// to per-PATH RNG streams, so the profile — and the estimate — is
-    /// byte-identical across worker counts at a fixed seed. Rejected for
-    /// HypothesisTest and CtmcFlow.
+    /// Coverage & occupancy profiling (estimation and hypothesis-test
+    /// modes): per-mode visit counts and time-in-mode occupancy,
+    /// per-transition fire counts, strategy decision histograms and a
+    /// coverage-saturation series over the accepted paths (docs/coverage.md).
+    /// Profiling switches the run to per-PATH RNG streams, so the profile —
+    /// and the result — is byte-identical across worker counts at a fixed
+    /// seed. Rejected for CtmcFlow and EstimateSplitting.
     bool coverage = false;
 
     /// Front-end phases (parse/instantiate) timed by the caller while
@@ -182,9 +184,9 @@ struct AnalysisRequest {
     ServeOptions serve;
 
     /// Process-isolated supervised execution (docs/supervision.md): when
-    /// processes > 0, an Estimate / EstimateParallel request runs across
-    /// that many worker *subprocesses* under a crash-tolerant coordinator
-    /// instead of in-process threads. Workers are fresh execs of the
+    /// processes > 0, an Estimate / EstimateParallel / HypothesisTest request
+    /// runs across that many worker *subprocesses* under a crash-tolerant
+    /// coordinator instead of in-process threads. Workers are fresh execs of the
     /// slimsim binary that re-load the model from `model_path` (defaults
     /// to model_label, which the CLI sets to the model file path); a
     /// worker that crashes, stalls past worker_timeout_seconds or corrupts
@@ -215,7 +217,7 @@ struct AnalysisResult {
     /// success ratio (the verdict is in `hypothesis` and the report).
     double value = 0.0;
 
-    sim::EstimationResult estimation;  // Estimate / EstimateParallel
+    sim::EstimationResult estimation;  // Estimate / EstimateParallel / HypothesisTest
     sim::CurveResult curve;            // estimation modes with curve_bounds set
     sim::HypothesisResult hypothesis;  // HypothesisTest
     ctmc::FlowResult flow;             // CtmcFlow

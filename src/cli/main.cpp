@@ -692,10 +692,10 @@ int run(int argc, char** argv) {
         throw Error("--curve-csv needs --curve or --curve-grid");
     }
 
-    if (coverage && (use_ctmc || test_threshold >= 0.0 || splitting_mode)) {
-        throw Error("--coverage is an estimation-mode option (not --ctmc / --test / "
-                    "--split; --split-auto fills the report's coverage section from "
-                    "the pilot run)");
+    if (coverage && (use_ctmc || splitting_mode)) {
+        throw Error("--coverage is an estimation-mode option (not --ctmc / --split; "
+                    "--split-auto fills the report's coverage section from the "
+                    "pilot run)");
     }
     req.coverage = coverage;
 
@@ -706,9 +706,9 @@ int run(int argc, char** argv) {
                     "--processes N");
     }
     if (processes > 0) {
-        if (use_ctmc || test_threshold >= 0.0 || splitting_mode) {
+        if (use_ctmc || splitting_mode) {
             throw Error("--processes is an estimation-mode option (not --ctmc / "
-                        "--test / --split)");
+                        "--split)");
         }
         if (coverage) throw Error("--processes cannot be combined with --coverage");
         if (!witness_dir.empty()) {
@@ -729,6 +729,7 @@ int run(int argc, char** argv) {
         req.flow.minimize = minimize;
     } else if (test_threshold >= 0.0) {
         req.mode = AnalysisMode::HypothesisTest;
+        req.workers = workers;
         req.threshold = test_threshold;
         req.indifference = indifference;
     } else if (splitting_mode) {
@@ -753,9 +754,9 @@ int run(int argc, char** argv) {
                            fault.kind == sim::FaultPolicyKind::Tolerate ||
                            !checkpoint_path.empty() || checkpoint_every > 0 ||
                            !resume_path.empty();
-    if (hardening && (use_ctmc || test_threshold >= 0.0)) {
+    if (hardening && use_ctmc) {
         throw Error("--max-seconds/--max-samples/--max-steps, --fault, --checkpoint "
-                    "and --resume are estimation-mode options (not --ctmc / --test)");
+                    "and --resume are estimation-mode options (not --ctmc)");
     }
     if (checkpoint_every > 0 && checkpoint_path.empty()) {
         throw Error("--checkpoint-every needs --checkpoint FILE");
@@ -788,9 +789,7 @@ int run(int argc, char** argv) {
         resume_ck = sim::RunCheckpoint::load(resume_path);
         control.resume = &*resume_ck;
     }
-    if (req.mode == AnalysisMode::Estimate ||
-        req.mode == AnalysisMode::EstimateParallel ||
-        req.mode == AnalysisMode::EstimateSplitting) {
+    if (req.mode != AnalysisMode::CtmcFlow) {
         sim::install_signal_handlers();
         control.interrupt = sim::interrupt_flag();
     }
@@ -940,11 +939,10 @@ int run(int argc, char** argv) {
         }
     }
     std::printf("%s\n", res.to_string().c_str());
-    if (req.mode == AnalysisMode::Estimate ||
-        req.mode == AnalysisMode::EstimateParallel ||
-        req.mode == AnalysisMode::EstimateSplitting) {
+    if (req.mode != AnalysisMode::CtmcFlow) {
         // A budget, signal or error-budget stop is a *partial* result, not a
-        // failure: one warning line, exit 0 (docs/robustness.md).
+        // failure: one warning line, exit 0 (docs/robustness.md; a test the
+        // budget stopped undecided exits 3 as inconclusive).
         const bool curve_mode = !res.curve.points.empty();
         const bool split_mode = req.mode == AnalysisMode::EstimateSplitting;
         const sim::RunStatus status =

@@ -472,6 +472,10 @@ SplittingResult estimate_splitting(const eda::Network& net,
     }
     if (options.splitting_factor < 1) throw Error("splitting factor must be >= 1");
     if (options.base_runs < 1) throw Error("base_runs must be >= 1");
+    // Root trees run on worker threads, where no exception may escape.
+    if (strategy == sim::StrategyKind::Input) {
+        throw Error("importance splitting cannot use the input strategy");
+    }
     if (!level.auto_levels && level.expression == nullptr) {
         throw Error("--split: a level expression (or --split-auto) is required");
     }
@@ -514,28 +518,63 @@ SplittingResult estimate_splitting(const eda::Network& net,
     sim::RunStatus status = sim::RunStatus::Converged;
     std::string stop_cause;
 
-    if (workers == 1) {
-        const auto strat = sim::make_strategy(strategy);
-        sim::SimOptions tree_options = options.sim;
-        tree_options.coverage_shard = nullptr;
-        const sim::PathGenerator gen(net, formula, *strat, tree_options);
-        LevelFn level_fn(cfg);
-        TreeContext ctx;
-        ctx.gen = &gen;
-        ctx.level = &level_fn;
-        ctx.factor = options.splitting_factor;
-        ctx.max_total_paths = options.max_total_paths;
-        ctx.interrupt = control.interrupt;
+    // Worker w of k owns root trees w, w+k, w+2k, ...; the consumer merges
+    // finished trees in global root order, so the accepted prefix — and
+    // every float accumulation — is the same at every worker count.
+    struct Shared {
+        std::mutex mutex;
+        std::condition_variable cv;
+        std::vector<std::optional<RootSample>> slots;
+        std::atomic<bool> stop{false};
+    };
+    Shared shared;
+    shared.slots.resize(options.base_runs);
+
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+        pool.emplace_back([&, w] {
+            const auto strat = sim::make_strategy(strategy);
+            sim::SimOptions tree_options = options.sim;
+            tree_options.coverage_shard = nullptr;
+            tree_options.metrics_shard =
+                tree_options.metrics != nullptr ? w % tree_options.metrics->shards() : 0;
+            const sim::PathGenerator gen(net, formula, *strat, tree_options);
+            LevelFn level_fn(cfg);
+            TreeContext ctx;
+            ctx.gen = &gen;
+            ctx.level = &level_fn;
+            ctx.factor = options.splitting_factor;
+            ctx.max_total_paths = options.max_total_paths;
+            ctx.stop = &shared.stop;
+            ctx.interrupt = control.interrupt;
+            for (std::size_t root = w; root < options.base_runs; root += workers) {
+                if (shared.stop.load(std::memory_order_relaxed)) break;
+                RootSample sample = run_tree_guarded(ctx, seed, root);
+                {
+                    const std::lock_guard<std::mutex> lock(shared.mutex);
+                    shared.slots[root] = std::move(sample);
+                }
+                shared.cv.notify_all();
+            }
+        });
+    }
+
+    try {
         for (std::size_t root = 0; root < options.base_runs; ++root) {
-            if (governor.should_stop(merge.roots.count, merge.total_steps,
-                                     merge.error_roots)) {
+            if (governor.should_stop(merge.roots.count, merge.total_steps, merge.error_roots)) {
                 status = governor.status();
                 stop_cause = governor.stop_cause();
                 break;
             }
-            const RootSample sample = run_tree_guarded(ctx, seed, root);
-            if (!accept_sample(merge, root, sample, options, metrics, status,
-                               stop_cause)) {
+            RootSample sample;
+            {
+                std::unique_lock<std::mutex> lock(shared.mutex);
+                shared.cv.wait(lock, [&] { return shared.slots[root].has_value(); });
+                sample = std::move(*shared.slots[root]);
+                shared.slots[root].reset();
+            }
+            if (!accept_sample(merge, root, sample, options, metrics, status, stop_cause)) {
                 if (sample.aborted && !sample.cap_hit) {
                     // The interrupt fired mid-tree; latch its cause.
                     governor.should_stop(merge.roots.count, merge.total_steps,
@@ -546,87 +585,13 @@ SplittingResult estimate_splitting(const eda::Network& net,
                 break;
             }
         }
-    } else {
-        // Parallel runner: worker w of k owns root trees w, w+k, w+2k, ...;
-        // the consumer merges finished trees in global root order, so the
-        // accepted prefix — and every float accumulation — is identical to
-        // the sequential run.
-        struct Shared {
-            std::mutex mutex;
-            std::condition_variable cv;
-            std::vector<std::optional<RootSample>> slots;
-            std::atomic<bool> stop{false};
-        };
-        Shared shared;
-        shared.slots.resize(options.base_runs);
-
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) {
-            pool.emplace_back([&, w] {
-                const auto strat = sim::make_strategy(strategy);
-                sim::SimOptions tree_options = options.sim;
-                tree_options.coverage_shard = nullptr;
-                tree_options.metrics_shard =
-                    tree_options.metrics != nullptr
-                        ? w % tree_options.metrics->shards()
-                        : 0;
-                const sim::PathGenerator gen(net, formula, *strat, tree_options);
-                LevelFn level_fn(cfg);
-                TreeContext ctx;
-                ctx.gen = &gen;
-                ctx.level = &level_fn;
-                ctx.factor = options.splitting_factor;
-                ctx.max_total_paths = options.max_total_paths;
-                ctx.stop = &shared.stop;
-                ctx.interrupt = control.interrupt;
-                for (std::size_t root = w; root < options.base_runs; root += workers) {
-                    if (shared.stop.load(std::memory_order_relaxed)) break;
-                    RootSample sample = run_tree_guarded(ctx, seed, root);
-                    {
-                        const std::lock_guard<std::mutex> lock(shared.mutex);
-                        shared.slots[root] = std::move(sample);
-                    }
-                    shared.cv.notify_all();
-                }
-            });
-        }
-
-        try {
-            for (std::size_t root = 0; root < options.base_runs; ++root) {
-                if (governor.should_stop(merge.roots.count, merge.total_steps,
-                                         merge.error_roots)) {
-                    status = governor.status();
-                    stop_cause = governor.stop_cause();
-                    break;
-                }
-                RootSample sample;
-                {
-                    std::unique_lock<std::mutex> lock(shared.mutex);
-                    shared.cv.wait(lock,
-                                   [&] { return shared.slots[root].has_value(); });
-                    sample = std::move(*shared.slots[root]);
-                    shared.slots[root].reset();
-                }
-                if (!accept_sample(merge, root, sample, options, metrics, status,
-                                   stop_cause)) {
-                    if (sample.aborted && !sample.cap_hit) {
-                        governor.should_stop(merge.roots.count, merge.total_steps,
-                                             merge.error_roots);
-                        status = governor.status();
-                        stop_cause = governor.stop_cause();
-                    }
-                    break;
-                }
-            }
-        } catch (...) {
-            shared.stop.store(true, std::memory_order_relaxed);
-            for (auto& t : pool) t.join();
-            throw;
-        }
+    } catch (...) {
         shared.stop.store(true, std::memory_order_relaxed);
         for (auto& t : pool) t.join();
+        throw;
     }
+    shared.stop.store(true, std::memory_order_relaxed);
+    for (auto& t : pool) t.join();
 
     result.estimate = merge.roots.mean();
     result.base_runs = merge.roots.count;

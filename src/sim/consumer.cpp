@@ -211,7 +211,7 @@ void RunConsumer::quarantine(std::size_t worker, std::uint64_t local, const char
 
 std::vector<std::uint64_t> RunConsumer::accepted_per_worker() const {
     if (collector_ != nullptr) return collector_->consumed_per_worker();
-    return {last_.count};
+    return {last_.count - base_};
 }
 
 std::vector<std::string> RunConsumer::error_log() const {

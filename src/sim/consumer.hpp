@@ -66,8 +66,8 @@ public:
     /// ring. Thread-safe; worker w only calls it for w.
     void quarantine(std::size_t worker, std::uint64_t local, const char* what);
 
-    /// Samples accepted from each worker (the sequential venue's one worker
-    /// counts the resumed prefix too).
+    /// Samples accepted from each worker in this run (a resumed prefix
+    /// counts for none of them).
     [[nodiscard]] std::vector<std::uint64_t> accepted_per_worker() const;
 
     /// Ends the run: the final progress snapshot, the journal merge and stop

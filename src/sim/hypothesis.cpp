@@ -1,9 +1,6 @@
 #include "sim/hypothesis.hpp"
 
-#include <chrono>
 #include <sstream>
-
-#include "stat/generators.hpp"
 
 namespace slimsim::sim {
 
@@ -24,57 +21,32 @@ std::string HypothesisResult::to_string() const {
     return os.str();
 }
 
+HypothesisResult hypothesis_result(const EstimationResult& run, const stat::Sprt& sprt,
+                                   double threshold, double indifference, double delta) {
+    HypothesisResult result;
+    const int verdict = sprt.verdict({run.samples, run.successes});
+    result.verdict = verdict > 0   ? HypothesisVerdict::AcceptAbove
+                     : verdict < 0 ? HypothesisVerdict::AcceptBelow
+                                   : HypothesisVerdict::Inconclusive;
+    result.samples = run.samples;
+    result.successes = run.successes;
+    result.threshold = threshold;
+    result.indifference = indifference;
+    result.delta = delta;
+    result.wall_seconds = run.wall_seconds;
+    result.strategy = run.strategy;
+    return result;
+}
+
 HypothesisResult test_hypothesis(const eda::Network& net, const PathFormula& formula,
                                  StrategyKind strategy, double threshold,
                                  std::uint64_t seed, const HypothesisOptions& options,
                                  telemetry::RunReport* report) {
-    const auto start = std::chrono::steady_clock::now();
     const stat::Sprt sprt(threshold, options.indifference, options.delta);
-    const auto strat = make_strategy(strategy);
-    const PathGenerator gen(net, formula, *strat, options.sim);
-    Rng rng(seed);
-    stat::BernoulliSummary summary;
-    std::array<std::size_t, kPathTerminalCount> terminals{};
-    std::uint64_t next_mark = 1; // SPRT is adaptive: no a-priori sample count
-    while (summary.count < options.max_samples && !sprt.should_stop(summary)) {
-        const PathOutcome out = gen.run(rng);
-        summary.add(out.satisfied);
-        ++terminals[static_cast<std::size_t>(out.terminal)];
-        if (report != nullptr && summary.count == next_mark) {
-            report->stop_trajectory.push_back({summary.count, 0, summary.successes});
-            next_mark *= 2;
-        }
-    }
-    HypothesisResult result;
-    const int verdict = sprt.verdict(summary);
-    result.verdict = verdict > 0   ? HypothesisVerdict::AcceptAbove
-                     : verdict < 0 ? HypothesisVerdict::AcceptBelow
-                                   : HypothesisVerdict::Inconclusive;
-    result.samples = summary.count;
-    result.successes = summary.successes;
-    result.threshold = threshold;
-    result.indifference = options.indifference;
-    result.delta = options.delta;
-    result.strategy = strat->name();
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    if (report != nullptr) {
-        if (report->stop_trajectory.empty() ||
-            report->stop_trajectory.back().samples != summary.count) {
-            report->stop_trajectory.push_back({summary.count, 0, summary.successes});
-        }
-        report->value = summary.count > 0 ? summary.mean() : 0.0;
-        report->verdict = slimsim::sim::to_string(result.verdict);
-        report->samples = result.samples;
-        report->successes = result.successes;
-        report->strategy = result.strategy;
-        report->criterion = sprt.name();
-        report->seed = seed;
-        report->workers = 1;
-        report->terminals = terminal_histogram(terminals);
-        report->worker_stats = {
-            telemetry::WorkerStats{0, 0, result.samples, result.samples}};
-    }
+    const HypothesisResult result =
+        hypothesis_result(estimate(net, formula, strategy, sprt, seed, options.sim, report),
+                          sprt, threshold, options.indifference, options.delta);
+    if (report != nullptr) report->verdict = to_string(result.verdict);
     return result;
 }
 

@@ -7,17 +7,19 @@
 //     H0: P(formula) >= threshold + indifference   vs.
 //     H1: P(formula) <= threshold - indifference
 // with error probability delta for both errors, typically needing far fewer
-// paths than estimation to the same confidence.
+// paths than estimation to the same confidence. SPRT is a stop criterion of
+// the run consumer (sim/consumer.hpp) like any estimation criterion, so a
+// test runs in every venue: sequential, threaded and supervised.
 #pragma once
 
-#include "sim/path_generator.hpp"
+#include "sim/runner.hpp"
 
 namespace slimsim::sim {
 
 enum class HypothesisVerdict : std::int8_t {
     AcceptAbove = +1,  // evidence that P >= threshold
     AcceptBelow = -1,  // evidence that P <= threshold
-    Inconclusive = 0,  // sample budget exhausted inside the indifference region
+    Inconclusive = 0,  // run budget exhausted inside the indifference region
 };
 
 [[nodiscard]] std::string to_string(HypothesisVerdict v);
@@ -38,13 +40,21 @@ struct HypothesisResult {
 struct HypothesisOptions {
     double indifference = 0.01;
     double delta = 0.01;
-    std::size_t max_samples = 10'000'000;
+    /// SPRT has no built-in sample cap: sim.control.budget bounds a test
+    /// that walks inside the indifference region (verdict Inconclusive).
     SimOptions sim;
 };
 
-/// Tests whether P(formula) exceeds `threshold` under the given strategy.
-/// Deterministic in `seed`. When `report` is non-null the sampling
-/// statistics (samples, terminal histogram, SPRT trajectory) are recorded.
+/// The hypothesis result of an estimation run (in any venue) whose stop
+/// criterion was `sprt`, built with (threshold, indifference, delta).
+[[nodiscard]] HypothesisResult hypothesis_result(const EstimationResult& run,
+                                                 const stat::Sprt& sprt, double threshold,
+                                                 double indifference, double delta);
+
+/// Tests whether P(formula) exceeds `threshold` under the given strategy:
+/// sim::estimate() with stat::Sprt as the criterion. Deterministic in
+/// `seed`. When `report` is non-null the sampling statistics (samples,
+/// terminal histogram, SPRT trajectory) and the verdict are recorded.
 [[nodiscard]] HypothesisResult test_hypothesis(const eda::Network& net,
                                                const PathFormula& formula,
                                                StrategyKind strategy, double threshold,

@@ -150,6 +150,27 @@ TEST_F(AnalysisApiTest, HypothesisTestMode) {
     EXPECT_EQ(threshold, 0.1);
 }
 
+TEST_F(AnalysisApiTest, HypothesisTestRunsInEveryVenue) {
+    // SPRT is a stop criterion of the run consumer: under per-path streams
+    // the threaded venue accepts the same paths as the sequential one.
+    AnalysisRequest req = base_request();
+    req.mode = AnalysisMode::HypothesisTest;
+    req.threshold = 0.6; // near the true 0.63: a few hundred paths
+    req.indifference = 0.02;
+    req.sim.control.deterministic_streams = true;
+    const AnalysisResult one = run_analysis(net, req);
+    req.workers = 3;
+    const AnalysisResult three = run_analysis(net, req);
+    EXPECT_EQ(one.report.workers, 1u);
+    EXPECT_EQ(three.report.workers, 3u);
+    EXPECT_EQ(three.report.worker_stats.size(), 3u);
+    EXPECT_GT(one.hypothesis.samples, 0u);
+    EXPECT_EQ(three.hypothesis.samples, one.hypothesis.samples);
+    EXPECT_EQ(three.hypothesis.successes, one.hypothesis.successes);
+    EXPECT_EQ(three.hypothesis.verdict, one.hypothesis.verdict);
+    EXPECT_EQ(three.report.verdict, one.report.verdict);
+}
+
 TEST_F(AnalysisApiTest, CtmcFlowMode) {
     AnalysisRequest req = base_request();
     req.mode = AnalysisMode::CtmcFlow;
@@ -507,9 +528,6 @@ TEST_F(AnalysisApiTest, CoverageSectionByteIdenticalAcrossWorkerCounts) {
 TEST_F(AnalysisApiTest, CoverageRejectedOutsideEstimationModes) {
     AnalysisRequest req = base_request();
     req.coverage = true;
-    req.mode = AnalysisMode::HypothesisTest;
-    req.threshold = 0.5;
-    EXPECT_THROW((void)run_analysis(net, req), Error);
     req.mode = AnalysisMode::CtmcFlow;
     EXPECT_THROW((void)run_analysis(net, req), Error);
 }

@@ -806,7 +806,7 @@ TEST_F(CliTest, SupervisionFlagsRequireProcesses) {
 TEST_F(CliTest, ProcessesRejectsConflictingModes) {
     const std::string base =
         gps_file() + "  --goal gps.measurement --bound 1800 --processes 2 ";
-    for (const char* extra : {"--coverage", "--ctmc", "--test 0.5"}) {
+    for (const char* extra : {"--coverage", "--ctmc"}) {
         const CliResult res = run_cli(base + extra);
         EXPECT_EQ(res.exit_code, 1) << extra << ": " << res.output;
         EXPECT_NE(res.output.find("--processes"), std::string::npos) << res.output;

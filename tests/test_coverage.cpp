@@ -312,9 +312,13 @@ TEST_F(CoverageTest, PrometheusDeterministicSectionStableAcrossWorkers) {
 
 TEST_F(CoverageTest, RejectedOutsideEstimationModes) {
     AnalysisRequest req = base_request(sim::StrategyKind::Progressive);
-    req.mode = AnalysisMode::HypothesisTest;
-    req.threshold = 0.1;
-    EXPECT_THROW((void)run_analysis(net, req), Error);
+    req.mode = AnalysisMode::CtmcFlow;
+    try {
+        (void)run_analysis(net, req);
+        ADD_FAILURE() << "coverage profiling of a CTMC flow was accepted";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("coverage"), std::string::npos) << e.what();
+    }
 }
 
 TEST_F(CoverageTest, ObserverGuardRestoresPreviousObserver) {

@@ -59,7 +59,7 @@ TEST_F(HypothesisTest, InconclusiveWithinIndifferenceRegion) {
     // Threshold placed at the true probability with a tiny budget: the SPRT
     // walks inside the indifference region and cannot decide.
     HypothesisOptions opt;
-    opt.max_samples = 50;
+    opt.sim.control.budget.max_samples = 50;
     opt.indifference = 0.001;
     const HypothesisResult res =
         test_hypothesis(net, prop, StrategyKind::Progressive, 0.632, 3, opt);

@@ -385,8 +385,13 @@ TEST_F(RunControlSim, ResumeReproducesTheUninterruptedRunByteIdentically) {
         const RunCheckpoint ck = RunCheckpoint::load(path);
         SimOptions second;
         second.control.resume = &ck;
-        const auto resumed = estimate(net, prop, StrategyKind::Progressive, ch, 7, second);
+        telemetry::RunReport report;
+        const auto resumed =
+            estimate(net, prop, StrategyKind::Progressive, ch, 7, second, &report);
         EXPECT_EQ(resumed.status, RunStatus::Converged) << "cut " << cut;
+        // The worker accepted this run's samples only, as in every venue.
+        ASSERT_EQ(report.worker_stats.size(), 1u);
+        EXPECT_EQ(report.worker_stats[0].accepted, resumed.samples - cut) << "cut " << cut;
         EXPECT_EQ(resumed.samples, ref.samples) << "cut " << cut;
         EXPECT_EQ(resumed.successes, ref.successes) << "cut " << cut;
         EXPECT_EQ(resumed.estimate, ref.estimate) << "cut " << cut;

@@ -254,6 +254,13 @@ TEST(Splitting, RejectsBadConfiguration) {
         (void)estimate_splitting(net, prop, sim::StrategyKind::Asap, level, 1, opt),
         Error);
     opt.sim.control.checkpoint_path.clear();
+    for (const std::size_t workers : {1u, 3u}) {
+        opt.workers = workers;
+        EXPECT_THROW(
+            (void)estimate_splitting(net, prop, sim::StrategyKind::Input, level, 1, opt),
+            Error);
+    }
+    opt.workers = 1;
     LevelSpec empty; // neither expression nor auto placement
     EXPECT_THROW(
         (void)estimate_splitting(net, prop, sim::StrategyKind::Asap, empty, 1, opt),

@@ -80,6 +80,13 @@ def cells():
     for venue, flags in (('w1', ['--workers', '1']), ('w3', ['--workers', '3']),
                          ('p3', ['--processes', '3'])):
         out[f'gps/checkpoint-every/{venue}'] = checkpoints + flags
+    # SPRT is a stop criterion of the run consumer: it runs in every venue,
+    # and the run budget is its only sample cap. At a threshold near the
+    # true p (~0.997) the budget stops it undecided: exit 3.
+    sprt = MODELS['gps'] + ['--test', '0.5'] + SEED
+    out['gps/sprt/w3'] = sprt + ['--workers', '3']
+    out['gps/sprt/p3'] = sprt + ['--processes', '3']
+    out['gps/sprt/budget'] = MODELS['gps'] + ['--test', '0.985', '--max-samples', '100'] + SEED
     out['markov/ctmc'] = MARKOV + ['--ctmc']
     out['markov/scalar/w3'] = MARKOV + ESTIMATION_MODES['scalar'] + ['--workers', '3'] + SEED
     return out

@@ -18,6 +18,7 @@
 #include "sim/runner.hpp"
 #include "slim/parser.hpp"
 #include "stat/bernoulli.hpp"
+#include "support/block_pacer.hpp"
 
 namespace slimsim::rare {
 
@@ -131,6 +132,25 @@ struct Job {
     int level = 0;
 };
 
+/// A worker's LIFO of pending jobs. Entries are never destroyed: push()
+/// hands out a retired entry, whose state vectors keep their capacity for
+/// the caller's copy-assignment, and pop_into() swaps the top entry with the
+/// caller's job, so a tree that crosses no level allocates nothing.
+class JobStack {
+public:
+    [[nodiscard]] bool empty() const { return depth_ == 0; }
+    void clear() { depth_ = 0; }
+    Job& push() {
+        if (depth_ == jobs_.size()) jobs_.emplace_back();
+        return jobs_[depth_++];
+    }
+    void pop_into(Job& job) { std::swap(job, jobs_[--depth_]); }
+
+private:
+    std::vector<Job> jobs_;
+    std::size_t depth_ = 0;
+};
+
 struct LevelAccum {
     std::uint64_t crossings = 0;
     std::uint64_t clones = 0;
@@ -138,65 +158,86 @@ struct LevelAccum {
 
 /// Everything one root tree (the root path plus all clones) contributes to
 /// the estimate. Samples merge in global root order, so every accumulation
-/// below is deterministic in the seed alone.
+/// below is deterministic in the seed alone. A worker rewrites its samples
+/// in place (reset()), so their vectors keep their capacity.
 struct RootSample {
     double weighted_hits = 0.0;
     std::uint64_t paths = 0;
     std::uint64_t steps = 0; // discrete steps newly simulated in this tree
     std::uint64_t goal_hits = 0;
     int max_level = 0;
-    std::map<int, LevelAccum> levels;
+    /// levels[i] counts level first_level + i. A lineage only ever crosses
+    /// the level just above its own, so the levels a tree crosses are
+    /// consecutive from one above the root's.
+    int first_level = 0;
+    std::vector<LevelAccum> levels;
     std::array<std::size_t, sim::kPathTerminalCount> terminals{};
     bool error = false; // the tree threw; the fault policy decides
     std::string error_msg;
     bool aborted = false; // abandoned (stop flag / interrupt / path cap)
     bool cap_hit = false; // aborted because it alone exceeded max_total_paths
+
+    void reset() {
+        weighted_hits = 0.0;
+        paths = steps = goal_hits = 0;
+        max_level = first_level = 0;
+        levels.clear();
+        terminals.fill(0);
+        error = aborted = cap_hit = false;
+        error_msg.clear();
+    }
 };
 
-struct TreeContext {
+/// A worker's tree simulator: what every tree needs, plus the job buffers
+/// it reuses from tree to tree.
+struct TreeRunner {
     const sim::PathGenerator* gen = nullptr;
     LevelFn* level = nullptr;
     std::size_t factor = 1;
     std::size_t max_total_paths = 0;
     const std::atomic<bool>* stop = nullptr;      // consumer's drain flag
     const std::atomic<bool>* interrupt = nullptr; // SIGINT/SIGTERM flag
+    JobStack stack;
+    Job job; // the path being simulated
 };
 
-/// Simulates root tree `root_index`. Every stream of the tree comes from the
-/// family Rng(seed).split(root_index): the root path uses child 0, clones
-/// take children 1, 2, ... in spawn order — a pure function of the tree
-/// itself, never of scheduling, so the tree is byte-identical no matter
-/// which worker runs it.
-RootSample simulate_tree(const TreeContext& ctx, std::uint64_t seed,
-                         std::size_t root_index) {
-    RootSample out;
+/// Simulates root tree `root_index` into `out`. Every stream of the tree
+/// comes from the family Rng(seed).split(root_index): the root path uses
+/// child 0, clones take children 1, 2, ... in spawn order — a pure function
+/// of the tree itself, never of scheduling, so the tree is byte-identical no
+/// matter which worker runs it.
+void simulate_tree(TreeRunner& run, std::uint64_t seed, std::size_t root_index,
+                   RootSample& out) {
+    JobStack& stack = run.stack;
+    Job& job = run.job;
     const Rng root_master = Rng(seed).split(root_index);
     std::uint64_t stream = 0;
 
-    std::vector<Job> stack;
+    stack.clear(); // an earlier tree may have thrown mid-way
     {
-        Job job;
-        job.state = ctx.gen->initial_state();
-        job.rng = root_master.split(stream++);
-        job.level = (*ctx.level)(job.state);
-        stack.push_back(std::move(job));
+        Job& root = stack.push();
+        root.state = run.gen->initial_state();
+        root.rng = root_master.split(stream++);
+        root.steps = 0;
+        root.weight = 1.0;
+        root.level = (*run.level)(root.state);
+        out.first_level = root.level + 1;
     }
     while (!stack.empty()) {
         // The clone loop is the liveness point: budgets and SIGINT are acted
         // on here, between paths, never mid-path.
-        if ((ctx.stop != nullptr && ctx.stop->load(std::memory_order_relaxed)) ||
-            (ctx.interrupt != nullptr &&
-             ctx.interrupt->load(std::memory_order_relaxed))) {
+        if ((run.stop != nullptr && run.stop->load(std::memory_order_relaxed)) ||
+            (run.interrupt != nullptr &&
+             run.interrupt->load(std::memory_order_relaxed))) {
             out.aborted = true;
-            return out;
+            return;
         }
-        if (out.paths >= ctx.max_total_paths) {
+        if (out.paths >= run.max_total_paths) {
             out.aborted = true;
             out.cap_hit = true;
-            return out;
+            return;
         }
-        Job job = std::move(stack.back());
-        stack.pop_back();
+        stack.pop_into(job);
         ++out.paths;
         const std::size_t steps0 = job.steps;
         std::optional<sim::PathOutcome> outcome;
@@ -207,27 +248,28 @@ RootSample simulate_tree(const TreeContext& ctx, std::uint64_t seed,
             // with factor-1 clones at the divided weight — so total weight
             // is conserved at every crossing and the estimator stays
             // unbiased on multi-level jumps.
-            const int now = (*ctx.level)(job.state);
+            const int now = (*run.level)(job.state);
             while (now > job.level) {
                 ++job.level;
                 out.max_level = std::max(out.max_level, job.level);
-                LevelAccum& acc = out.levels[job.level];
+                const auto index = static_cast<std::size_t>(job.level - out.first_level);
+                if (index == out.levels.size()) out.levels.emplace_back();
+                LevelAccum& acc = out.levels[index];
                 ++acc.crossings;
-                if (ctx.factor > 1) {
-                    job.weight /= static_cast<double>(ctx.factor);
-                    for (std::size_t c = 1; c < ctx.factor; ++c) {
-                        Job clone;
+                if (run.factor > 1) {
+                    job.weight /= static_cast<double>(run.factor);
+                    for (std::size_t c = 1; c < run.factor; ++c) {
+                        Job& clone = stack.push();
                         clone.state = job.state;
                         clone.rng = root_master.split(stream++);
                         clone.steps = job.steps;
                         clone.weight = job.weight;
                         clone.level = job.level;
-                        stack.push_back(std::move(clone));
                         ++acc.clones;
                     }
                 }
             }
-            outcome = ctx.gen->step(job.state, job.rng, job.steps);
+            outcome = run.gen->step(job.state, job.rng, job.steps);
             if (outcome) break;
         }
         out.steps += job.steps - steps0;
@@ -237,22 +279,21 @@ RootSample simulate_tree(const TreeContext& ctx, std::uint64_t seed,
             ++out.goal_hits;
         }
     }
-    return out;
 }
 
 /// simulate_tree with fault isolation: a throwing tree becomes an
 /// error-tagged sample; the consumer applies the fault policy at the tree's
 /// deterministic root position (workers must never throw — a worker running
 /// ahead could otherwise fail on a root the accepted prefix never reaches).
-RootSample run_tree_guarded(const TreeContext& ctx, std::uint64_t seed,
-                            std::size_t root_index) {
+void run_tree_guarded(TreeRunner& run, std::uint64_t seed, std::size_t root_index,
+                      RootSample& out) {
+    out.reset();
     try {
-        return simulate_tree(ctx, seed, root_index);
+        simulate_tree(run, seed, root_index, out);
     } catch (const std::exception& e) {
-        RootSample s;
-        s.error = true;
-        s.error_msg = e.what();
-        return s;
+        out.reset();
+        out.error = true;
+        out.error_msg = e.what();
     }
 }
 
@@ -292,7 +333,9 @@ struct SplitMetrics {
         hits->add(0, s.goal_hits);
         estimate->set(current_estimate);
         max_level->set(static_cast<double>(current_max));
-        for (const auto& [level, acc] : s.levels) {
+        for (std::size_t i = 0; i < s.levels.size(); ++i) {
+            const int level = s.first_level + static_cast<int>(i);
+            const LevelAccum& acc = s.levels[i];
             auto it = level_paths.find(level);
             if (it == level_paths.end()) {
                 metrics::Counter& c = reg->counter(
@@ -373,10 +416,10 @@ bool accept_sample(Merge& merge, std::size_t root, const RootSample& s,
                                    {"root", static_cast<std::uint64_t>(root)}});
     }
     merge.max_level = std::max(merge.max_level, s.max_level);
-    for (const auto& [level, acc] : s.levels) {
-        LevelAccum& dst = merge.levels[level];
-        dst.crossings += acc.crossings;
-        dst.clones += acc.clones;
+    for (std::size_t i = 0; i < s.levels.size(); ++i) {
+        LevelAccum& dst = merge.levels[s.first_level + static_cast<int>(i)];
+        dst.crossings += s.levels[i].crossings;
+        dst.clones += s.levels[i].clones;
     }
     for (std::size_t t = 0; t < sim::kPathTerminalCount; ++t) {
         merge.terminals[t] += s.terminals[t];
@@ -460,6 +503,127 @@ AutoPlacement place_levels(const eda::Network& net, const sim::PathFormula& form
     return placement;
 }
 
+/// Trees a worker may run ahead of the consumer: its hand-off ring's
+/// capacity. Memory is O(workers x kWindow) whatever the root count.
+constexpr std::size_t kWindow = 4096;
+
+/// The hand-off between the workers and the consumer. Worker w's finished
+/// trees (roots w, w+k, ...) go into its own fixed-capacity ring, local tree
+/// i into cell i mod capacity. The worker writes each tree straight into a
+/// free cell and publishes a block of them under one lock with one notify;
+/// the consumer takes every consecutive published tree under one lock,
+/// merges them in place outside it, and frees their cells when it comes back
+/// for more. Cells are reused, so their vectors keep their capacity.
+class TreeHandOff {
+public:
+    TreeHandOff(std::size_t workers, std::size_t roots)
+        : rings_(workers), roots_(roots), held_(workers, 0) {
+        for (std::size_t w = 0; w < workers; ++w) {
+            const std::size_t owned = roots > w ? (roots - w - 1) / workers + 1 : 0;
+            rings_[w].cells.resize(std::min(kWindow, owned));
+        }
+    }
+
+    /// Read by the workers between paths: set once the consumer is done.
+    [[nodiscard]] const std::atomic<bool>& stop_flag() const { return stop_; }
+
+    /// Worker w's loop: simulates its roots into its ring and publishes them
+    /// in blocks sized by a BlockPacer. A worker a full ring ahead of the
+    /// consumer waits for a free cell; an aborted tree is published at once
+    /// and ends the loop (the consumer stops at it).
+    void produce(std::size_t w, TreeRunner& run, std::uint64_t seed) {
+        const std::size_t workers = rings_.size();
+        Ring& ring = rings_[w];
+        const std::size_t capacity = ring.cells.size();
+        BlockPacer pacer;
+        std::size_t pending = 0; // written, not yet published
+        std::size_t room = capacity;
+        const auto publish = [&](bool wait_for_room) {
+            if (pending > 0) pacer.handed_off(pending);
+            std::unique_lock<std::mutex> lock(mutex_);
+            ring.published += pending;
+            pending = 0;
+            ready_.notify_one();
+            if (wait_for_room) {
+                ring.room.wait(lock, [&] {
+                    return ring.published < capacity || stop_.load(std::memory_order_relaxed);
+                });
+                pacer.restart();
+            }
+            room = capacity - ring.published;
+        };
+        std::size_t local = 0;
+        for (std::size_t root = w; root < roots_; root += workers, ++local) {
+            if (stop_.load(std::memory_order_relaxed)) return;
+            if (room == 0) {
+                publish(true);
+                if (room == 0) return; // stopped
+            }
+            RootSample& tree = ring.tree(local);
+            run_tree_guarded(run, seed, root, tree);
+            ++pending;
+            --room;
+            if (tree.aborted || root + workers >= roots_ || pending >= pacer.size()) {
+                publish(false);
+            }
+            if (tree.aborted) return;
+        }
+    }
+
+    /// The consumer, at root `root` with every earlier root merged: frees
+    /// the cells it held, waits until `root` is published and takes it with
+    /// every consecutive published root after it. Returns the end of the
+    /// taken range; tree() reads the taken roots until the next take().
+    std::size_t take(std::size_t root) {
+        const std::size_t workers = rings_.size();
+        std::unique_lock<std::mutex> lock(mutex_);
+        for (std::size_t w = 0; w < workers; ++w) {
+            if (held_[w] == 0) continue;
+            rings_[w].published -= held_[w];
+            held_[w] = 0;
+            rings_[w].room.notify_one();
+        }
+        ready_.wait(lock, [&] { return rings_[root % workers].published > 0; });
+        std::size_t end = root;
+        while (end < roots_ && held_[end % workers] < rings_[end % workers].published) {
+            ++held_[end % workers];
+            ++end;
+        }
+        return end;
+    }
+
+    [[nodiscard]] const RootSample& tree(std::size_t root) {
+        return rings_[root % rings_.size()].tree(root / rings_.size());
+    }
+
+    /// Stops the workers — waking any that wait on a full ring — and joins
+    /// them.
+    void halt(std::vector<std::thread>& pool) {
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            stop_.store(true, std::memory_order_relaxed);
+        }
+        for (auto& ring : rings_) ring.room.notify_one();
+        for (auto& t : pool) t.join();
+    }
+
+private:
+    struct Ring {
+        std::vector<RootSample> cells;
+        std::condition_variable room; // the worker waits here on a full ring
+        std::size_t published = 0;    // published and not yet freed
+
+        RootSample& tree(std::size_t local) { return cells[local % cells.size()]; }
+    };
+
+    std::mutex mutex_; // guards every Ring::published and held_
+    std::condition_variable ready_; // the consumer waits here for its next root
+    std::vector<Ring> rings_;
+    std::size_t roots_;
+    std::vector<std::size_t> held_; // taken (published, merging) trees per ring
+    std::atomic<bool> stop_{false};
+};
+
 } // namespace
 
 SplittingResult estimate_splitting(const eda::Network& net,
@@ -521,15 +685,7 @@ SplittingResult estimate_splitting(const eda::Network& net,
     // Worker w of k owns root trees w, w+k, w+2k, ...; the consumer merges
     // finished trees in global root order, so the accepted prefix — and
     // every float accumulation — is the same at every worker count.
-    struct Shared {
-        std::mutex mutex;
-        std::condition_variable cv;
-        std::vector<std::optional<RootSample>> slots;
-        std::atomic<bool> stop{false};
-    };
-    Shared shared;
-    shared.slots.resize(options.base_runs);
-
+    TreeHandOff hand_off(workers, options.base_runs);
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
@@ -541,39 +697,27 @@ SplittingResult estimate_splitting(const eda::Network& net,
                 tree_options.metrics != nullptr ? w % tree_options.metrics->shards() : 0;
             const sim::PathGenerator gen(net, formula, *strat, tree_options);
             LevelFn level_fn(cfg);
-            TreeContext ctx;
-            ctx.gen = &gen;
-            ctx.level = &level_fn;
-            ctx.factor = options.splitting_factor;
-            ctx.max_total_paths = options.max_total_paths;
-            ctx.stop = &shared.stop;
-            ctx.interrupt = control.interrupt;
-            for (std::size_t root = w; root < options.base_runs; root += workers) {
-                if (shared.stop.load(std::memory_order_relaxed)) break;
-                RootSample sample = run_tree_guarded(ctx, seed, root);
-                {
-                    const std::lock_guard<std::mutex> lock(shared.mutex);
-                    shared.slots[root] = std::move(sample);
-                }
-                shared.cv.notify_all();
-            }
+            TreeRunner run;
+            run.gen = &gen;
+            run.level = &level_fn;
+            run.factor = options.splitting_factor;
+            run.max_total_paths = options.max_total_paths;
+            run.stop = &hand_off.stop_flag();
+            run.interrupt = control.interrupt;
+            hand_off.produce(w, run, seed);
         });
     }
 
     try {
+        std::size_t taken = 0; // roots [root, taken) are ready to merge
         for (std::size_t root = 0; root < options.base_runs; ++root) {
             if (governor.should_stop(merge.roots.count, merge.total_steps, merge.error_roots)) {
                 status = governor.status();
                 stop_cause = governor.stop_cause();
                 break;
             }
-            RootSample sample;
-            {
-                std::unique_lock<std::mutex> lock(shared.mutex);
-                shared.cv.wait(lock, [&] { return shared.slots[root].has_value(); });
-                sample = std::move(*shared.slots[root]);
-                shared.slots[root].reset();
-            }
+            if (root == taken) taken = hand_off.take(root);
+            const RootSample& sample = hand_off.tree(root);
             if (!accept_sample(merge, root, sample, options, metrics, status, stop_cause)) {
                 if (sample.aborted && !sample.cap_hit) {
                     // The interrupt fired mid-tree; latch its cause.
@@ -586,12 +730,10 @@ SplittingResult estimate_splitting(const eda::Network& net,
             }
         }
     } catch (...) {
-        shared.stop.store(true, std::memory_order_relaxed);
-        for (auto& t : pool) t.join();
+        hand_off.halt(pool);
         throw;
     }
-    shared.stop.store(true, std::memory_order_relaxed);
-    for (auto& t : pool) t.join();
+    hand_off.halt(pool);
 
     result.estimate = merge.roots.mean();
     result.base_runs = merge.roots.count;

@@ -82,6 +82,7 @@ RunConsumer::RunConsumer(const TimedReachability& property, std::string strategy
         const RunCheckpoint& ck = *control_.resume;
         ck.validate(control_.model_hash, seed, property.text, strategy_, criterion.name(),
                     curve != nullptr ? curve->bounds : std::vector<double>{});
+        ck.validate_stop_parameters(criterion.parameters());
         base_ = ck.cursor;
         if (curve_summary_ != nullptr) curve_summary_->restore(ck.cursor, ck.curve_tree);
         last_.count = ck.cursor;
@@ -130,11 +131,17 @@ std::size_t RunConsumer::drain(bool ordered) {
     // Runs under the collector mutex: accept() must not call back into the
     // collector (tags and steps are updated before it runs).
     const std::function<bool()> done = [this] { return accept(); };
+    const std::uint64_t budget = control_.budget.max_samples;
     std::size_t total = 0;
     for (;;) {
+        // Whole rounds stop on a sample budget only where it falls on a round
+        // end; the collector ends the last round early instead.
+        const std::uint64_t room = budget == 0 ? stat::SampleCollector::kUnlimited
+                                   : budget > last_.count ? budget - last_.count
+                                                          : 0;
         const std::size_t consumed =
             ordered ? collector_->drain_ordered(last_, curve_summary_, &tags_, done, &steps_)
-                    : collector_->drain_rounds(last_, &tags_, done, &steps_);
+                    : collector_->drain_rounds(last_, &tags_, done, &steps_, room);
         total += consumed;
         // After a checkpoint pause, drain again at once: waiting for new
         // samples here would cost a poll or sleep per checkpoint.
@@ -243,6 +250,7 @@ void RunConsumer::save_checkpoint() {
     ck.property_hash = fnv1a64(property_.text);
     ck.strategy = strategy_;
     ck.criterion = criterion_.name();
+    ck.stop_parameters = criterion_.parameters();
     ck.cursor = last_.count;
     ck.successes = last_.successes;
     ck.total_steps = steps_;

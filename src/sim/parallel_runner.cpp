@@ -1,6 +1,5 @@
 #include "sim/parallel_runner.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -10,51 +9,35 @@
 
 #include "sim/consumer.hpp"
 #include "sim/coverage.hpp"
+#include "support/block_pacer.hpp"
 
 namespace slimsim::sim {
 
 namespace {
 
 /// A worker's unfinished block of samples, handed to the collector with one
-/// push_block call. Blocks are sized by time, not count: the worker reads
-/// the clock once per hand-off and steers the next block toward kTargetNs of
-/// path simulation (growing at most 2x per hand-off, shrinking at once), so
-/// ~0.4 us paths travel in hundreds per lock acquisition while ~30 us paths
-/// still leave one or a few at a time. Where a block ends never changes
-/// which samples are accepted (stat/collector.hpp). A block unfinished when
-/// the run stops is dropped with the rest of the overshoot.
+/// push_block call and sized by a BlockPacer. Where a block ends never
+/// changes which samples are accepted (stat/collector.hpp). A block
+/// unfinished when the run stops is dropped with the rest of the overshoot.
 class SampleBlock {
 public:
     SampleBlock(stat::SampleCollector& collector, std::size_t worker)
-        : collector_(collector), worker_(worker), last_(Clock::now()) {}
+        : collector_(collector), worker_(worker) {}
 
     void add(const stat::TaggedSample& sample) {
         samples_.push_back(sample);
-        if (samples_.size() >= size_) hand_off();
+        if (samples_.size() >= pacer_.size()) {
+            pacer_.handed_off(samples_.size());
+            collector_.push_block(worker_, samples_);
+            samples_.clear();
+        }
     }
 
 private:
-    using Clock = std::chrono::steady_clock;
-    static constexpr std::int64_t kTargetNs = 100'000;
-    static constexpr std::size_t kMaxSize = 1024;
-
-    void hand_off() {
-        const auto now = Clock::now();
-        const std::int64_t ns = std::max<std::int64_t>(
-            1, std::chrono::duration_cast<std::chrono::nanoseconds>(now - last_).count());
-        collector_.push_block(worker_, samples_);
-        const std::size_t n = samples_.size();
-        const auto ideal = static_cast<std::size_t>(static_cast<std::int64_t>(n) * kTargetNs / ns);
-        size_ = std::clamp<std::size_t>(ideal, 1, std::min(kMaxSize, 2 * n));
-        samples_.clear();
-        last_ = now;
-    }
-
     stat::SampleCollector& collector_;
     std::size_t worker_;
     std::vector<stat::TaggedSample> samples_;
-    std::size_t size_ = 1;
-    Clock::time_point last_;
+    BlockPacer pacer_;
 };
 
 /// Rejects requests the threaded loop cannot serve; `curve` is null for a

@@ -141,6 +141,11 @@ std::size_t RunCheckpoint::save(const std::string& path) const {
     put_u64(out, property_hash);
     put_string(out, strategy);
     put_string(out, criterion);
+    put_u64(out, stop_parameters.size());
+    for (const auto& [name, value] : stop_parameters) {
+        put_string(out, name);
+        put_f64(out, value);
+    }
     put_u64(out, cursor);
     put_u64(out, successes);
     put_u64(out, total_steps);
@@ -187,6 +192,11 @@ RunCheckpoint RunCheckpoint::load(const std::string& path) {
     ck.property_hash = r.get_u64();
     ck.strategy = r.get_string();
     ck.criterion = r.get_string();
+    ck.stop_parameters.resize(r.get_count(16)); // 16 = name length prefix + value
+    for (auto& [name, value] : ck.stop_parameters) {
+        name = r.get_string();
+        value = r.get_f64();
+    }
     ck.cursor = r.get_u64();
     ck.successes = r.get_u64();
     ck.total_steps = r.get_u64();
@@ -225,6 +235,25 @@ void RunCheckpoint::validate(std::uint64_t expected_model_hash, std::uint64_t ex
     if (curve_bounds != expected_curve_bounds)
         throw Error("--resume checkpoint curve grid does not match the requested "
                     "--curve bounds");
+}
+
+void RunCheckpoint::validate_stop_parameters(const stat::StopParameters& expected) const {
+    const auto show = [](const stat::StopParameters& params) {
+        std::ostringstream os;
+        for (std::size_t i = 0; i < params.size(); ++i) {
+            os << (i > 0 ? ", " : "") << params[i].first << ' ' << params[i].second;
+        }
+        return os.str();
+    };
+    if (stop_parameters.size() != expected.size()) {
+        throw Error("--resume checkpoint stop parameters (" + show(stop_parameters) +
+                    ") do not match the requested (" + show(expected) + ")");
+    }
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        if (stop_parameters[i] == expected[i]) continue;
+        throw Error("--resume checkpoint was taken with " + show({stop_parameters[i]}) +
+                    ", not the requested " + show({expected[i]}));
+    }
 }
 
 // ---------------------------------------------------------------------------

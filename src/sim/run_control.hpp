@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "stat/generators.hpp"
+
 namespace slimsim::sim {
 
 /// How an estimation run ended.
@@ -69,10 +71,11 @@ inline constexpr std::size_t kMaxQuarantinedErrors = 16;
 /// state (successes; for curve runs the Fenwick tree over first-hit
 /// buckets), terminal tag counts, the accepted-step total, and the
 /// quarantined error log. The header binds the snapshot to (model hash,
-/// seed, property, strategy, criterion, curve grid); load()/validate()
-/// reject mismatches with a diagnostic naming the --resume flag.
+/// seed, property, strategy, criterion and its stop parameters, curve grid);
+/// load(), validate() and validate_stop_parameters() reject mismatches with
+/// a diagnostic naming the --resume flag.
 struct RunCheckpoint {
-    static constexpr std::uint32_t kVersion = 1;
+    static constexpr std::uint32_t kVersion = 2;
 
     std::uint32_t version = kVersion;
     std::uint64_t model_hash = 0;    // CompiledModel::content_hash() of the model
@@ -80,6 +83,9 @@ struct RunCheckpoint {
     std::uint64_t property_hash = 0; // fnv1a64 over the property text
     std::string strategy;
     std::string criterion;
+    /// The criterion's stop parameters: delta and eps, or threshold,
+    /// indifference and delta for SPRT.
+    stat::StopParameters stop_parameters;
     std::uint64_t cursor = 0;      // accepted samples == next global path index
     std::uint64_t successes = 0;   // largest-bound successes for curve runs
     std::uint64_t total_steps = 0; // discrete steps over accepted paths
@@ -106,6 +112,10 @@ struct RunCheckpoint {
                   const std::string& property_text, const std::string& strategy_name,
                   const std::string& criterion_name,
                   const std::vector<double>& expected_curve_bounds) const;
+
+    /// Throws Error naming --resume, the parameter and both values when the
+    /// requested criterion's stop parameters differ from the stored ones.
+    void validate_stop_parameters(const stat::StopParameters& expected) const;
 };
 
 /// Run-hardening options threaded to the estimation runners through

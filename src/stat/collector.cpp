@@ -75,25 +75,40 @@ void SampleCollector::consume_locked(BernoulliSummary& summary, std::size_t work
 std::size_t SampleCollector::drain_rounds(BernoulliSummary& summary,
                                           std::vector<std::uint64_t>* tag_counts,
                                           const std::function<bool()>& done,
-                                          std::uint64_t* steps) {
+                                          std::uint64_t* steps, std::uint64_t max_samples) {
     std::lock_guard lock(mutex_);
     const DrainTimer timer(m_drain_);
+    const std::size_t k = buffers_.size();
     std::size_t available = buffers_.front().size();
     for (const auto& b : buffers_) available = std::min(available, b.size());
-    std::size_t rounds = 0;
-    while (rounds < available) {
-        for (std::size_t w = 0; w < buffers_.size(); ++w) {
+    std::size_t consumed = 0;
+    bool stopped = false;
+    while (available > 0 && max_samples - consumed >= k) {
+        for (std::size_t w = 0; w < k; ++w) {
             consume_locked(summary, w, tag_counts, nullptr, steps);
         }
-        ++rounds;
+        --available;
+        consumed += k;
         ++rounds_;
         if (lane_ != nullptr) {
             lane_->instant(n_round_, n_arg_accepted_, static_cast<double>(accepted_));
         }
-        if (done()) break;
+        stopped = done();
+        if (stopped) break;
+    }
+    // A budget that ends mid-round takes the first samples of the next round.
+    const std::uint64_t rest = max_samples - consumed;
+    if (!stopped && rest > 0 && rest < k &&
+        std::all_of(buffers_.begin(), buffers_.begin() + static_cast<std::ptrdiff_t>(rest),
+                    [](const auto& b) { return !b.empty(); })) {
+        for (std::size_t w = 0; w < rest; ++w) {
+            consume_locked(summary, w, tag_counts, nullptr, steps);
+        }
+        consumed += rest;
+        done();
     }
     if (m_depth_ != nullptr) m_depth_->set(static_cast<double>(pushed_ - accepted_));
-    return rounds * buffers_.size();
+    return consumed;
 }
 
 std::size_t SampleCollector::drain_rounds(BernoulliSummary& summary, std::size_t max_rounds,

@@ -54,6 +54,8 @@ struct TaggedSample {
 
 class SampleCollector {
 public:
+    static constexpr std::uint64_t kUnlimited = static_cast<std::uint64_t>(-1);
+
     explicit SampleCollector(std::size_t worker_count);
 
     /// Appends `block` to `worker`'s buffer, in order, under one lock
@@ -73,10 +75,16 @@ public:
     /// `steps` (optional) accumulates accepted samples' step counts (run
     /// budgets). Both are updated before `done()` runs, so governor checks
     /// inside `done()` may read them. `done()` runs under the collector
-    /// mutex — it must not call back into the collector.
+    /// mutex — it must not call back into the collector. At most
+    /// `max_samples` samples are consumed (a sample budget): whole rounds
+    /// while they fit, then the first remaining samples of the next round in
+    /// worker order, once all of them are buffered — so a budget stops at the
+    /// same sample count for every worker count, while criterion stops still
+    /// fall on round ends.
     std::size_t drain_rounds(BernoulliSummary& summary, std::vector<std::uint64_t>* tag_counts,
                              const std::function<bool()>& done,
-                             std::uint64_t* steps = nullptr);
+                             std::uint64_t* steps = nullptr,
+                             std::uint64_t max_samples = kUnlimited);
 
     /// Consumes up to `max_rounds` complete rounds (the predicate overload
     /// with a round-counting done()).

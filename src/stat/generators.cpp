@@ -31,7 +31,7 @@ bool StopCriterion::should_stop_curve(const CurveSummary& curve) const {
 }
 
 ChernoffHoeffding::ChernoffHoeffding(double delta, double epsilon)
-    : n_(sample_count(delta, epsilon)), delta_(delta) {}
+    : n_(sample_count(delta, epsilon)), delta_(delta), epsilon_(epsilon) {}
 
 double ChernoffHoeffding::achieved_half_width(const BernoulliSummary& s) const {
     if (s.count == 0) return 0.0;
@@ -45,7 +45,8 @@ std::size_t ChernoffHoeffding::sample_count(double delta, double epsilon) {
         std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon)));
 }
 
-GaussCriterion::GaussCriterion(double delta, double epsilon) {
+GaussCriterion::GaussCriterion(double delta, double epsilon)
+    : delta_(delta), epsilon_(epsilon) {
     check_params(delta, epsilon);
     z_ = normal_quantile(1.0 - delta / 2.0);
     n_ = static_cast<std::size_t>(std::ceil(z_ * z_ / (4.0 * epsilon * epsilon)));
@@ -58,7 +59,7 @@ double GaussCriterion::achieved_half_width(const BernoulliSummary& s) const {
 }
 
 ChowRobbins::ChowRobbins(double delta, double epsilon, std::size_t min_samples)
-    : epsilon_(epsilon), min_samples_(min_samples) {
+    : delta_(delta), epsilon_(epsilon), min_samples_(min_samples) {
     check_params(delta, epsilon);
     z_ = normal_quantile(1.0 - delta / 2.0);
 }
@@ -78,7 +79,8 @@ double ChowRobbins::achieved_half_width(const BernoulliSummary& s) const {
     return z_ * std::sqrt(var / static_cast<double>(s.count));
 }
 
-Sprt::Sprt(double threshold, double indifference, double delta) {
+Sprt::Sprt(double threshold, double indifference, double delta)
+    : threshold_(threshold), indifference_(indifference), delta_(delta) {
     if (!(threshold > 0.0 && threshold < 1.0)) throw Error("SPRT threshold must be in (0,1)");
     if (!(indifference > 0.0) || threshold - indifference <= 0.0 ||
         threshold + indifference >= 1.0) {

@@ -11,12 +11,18 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "stat/bernoulli.hpp"
 
 namespace slimsim::stat {
 
 class CurveSummary;
+
+/// A criterion's stop parameters as (name, value) pairs, e.g. delta and
+/// eps; a checkpoint pins them so a resumed run keeps the same stop rule.
+using StopParameters = std::vector<std::pair<std::string, double>>;
 
 class StopCriterion {
 public:
@@ -48,6 +54,9 @@ public:
     [[nodiscard]] virtual double achieved_half_width(const BernoulliSummary& s) const;
 
     [[nodiscard]] virtual std::string name() const = 0;
+
+    /// The parameters that, with name(), decide when this criterion stops.
+    [[nodiscard]] virtual StopParameters parameters() const = 0;
 };
 
 /// Chernoff-Hoeffding bound: N = ceil( ln(2/δ) / (2 ε²) ) samples give
@@ -64,12 +73,16 @@ public:
     }
     [[nodiscard]] double achieved_half_width(const BernoulliSummary& s) const override;
     [[nodiscard]] std::string name() const override { return "chernoff-hoeffding"; }
+    [[nodiscard]] StopParameters parameters() const override {
+        return {{"delta", delta_}, {"eps", epsilon_}};
+    }
 
     [[nodiscard]] static std::size_t sample_count(double delta, double epsilon);
 
 private:
     std::size_t n_;
     double delta_;
+    double epsilon_;
 };
 
 /// Gauss / central-limit criterion with worst-case variance 1/4:
@@ -86,10 +99,15 @@ public:
     }
     [[nodiscard]] double achieved_half_width(const BernoulliSummary& s) const override;
     [[nodiscard]] std::string name() const override { return "gauss"; }
+    [[nodiscard]] StopParameters parameters() const override {
+        return {{"delta", delta_}, {"eps", epsilon_}};
+    }
 
 private:
     std::size_t n_;
     double z_;
+    double delta_;
+    double epsilon_;
 };
 
 /// Chow-Robbins sequential criterion: stop when the CLT confidence interval
@@ -103,9 +121,13 @@ public:
     [[nodiscard]] bool should_stop(const BernoulliSummary& s) const override;
     [[nodiscard]] double achieved_half_width(const BernoulliSummary& s) const override;
     [[nodiscard]] std::string name() const override { return "chow-robbins"; }
+    [[nodiscard]] StopParameters parameters() const override {
+        return {{"delta", delta_}, {"eps", epsilon_}};
+    }
 
 private:
     double z_;
+    double delta_;
     double epsilon_;
     std::size_t min_samples_;
 };
@@ -120,10 +142,14 @@ public:
     /// +1: accept H0 (p >= threshold), -1: accept H1, 0: undecided.
     [[nodiscard]] int verdict(const BernoulliSummary& s) const;
     [[nodiscard]] std::string name() const override { return "sprt"; }
+    [[nodiscard]] StopParameters parameters() const override {
+        return {{"threshold", threshold_}, {"indifference", indifference_}, {"delta", delta_}};
+    }
 
 private:
     [[nodiscard]] double log_ratio(const BernoulliSummary& s) const;
 
+    double threshold_, indifference_, delta_;
     double p0_, p1_; // H0 at p0 (upper), H1 at p1 (lower)
     double log_a_, log_b_;
 };

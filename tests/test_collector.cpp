@@ -45,6 +45,38 @@ TEST(Collector, MaxRoundsLimitsConsumption) {
     EXPECT_EQ(c.buffered(), 2u);
 }
 
+TEST(Collector, SampleBudgetEndsTheLastRoundEarly) {
+    SampleCollector c(3);
+    for (std::size_t w = 0; w < 3; ++w) {
+        for (int i = 0; i < 4; ++i) c.push(w, w == 1);
+    }
+    BernoulliSummary s;
+    std::size_t decisions = 0;
+    const auto done = [&] {
+        ++decisions;
+        return false;
+    };
+    // 7 = two whole rounds, then worker 0's sample of the third round.
+    EXPECT_EQ(c.drain_rounds(s, nullptr, done, nullptr, 7), 7u);
+    EXPECT_EQ(s.count, 7u);
+    EXPECT_EQ(s.successes, 2u); // worker 1 delivered in rounds 1 and 2 only
+    EXPECT_EQ(decisions, 3u);   // after each round and after the partial one
+    EXPECT_EQ(c.consumed_per_worker(), (std::vector<std::uint64_t>{3, 2, 2}));
+    EXPECT_EQ(c.stats().rounds, 2u);
+
+    // The partial round waits until every sample it takes is buffered.
+    SampleCollector d(3);
+    d.push(1, true);
+    d.push(0, true);
+    BernoulliSummary t;
+    EXPECT_EQ(d.drain_rounds(t, nullptr, done, nullptr, 2), 2u);
+    EXPECT_EQ(t.count, 2u);
+    SampleCollector e(3);
+    e.push(1, true);
+    BernoulliSummary u;
+    EXPECT_EQ(e.drain_rounds(u, nullptr, done, nullptr, 2), 0u);
+}
+
 TEST(Collector, RoundRobinOrderIsPerWorkerFifo) {
     SampleCollector c(2);
     c.push(0, true);

@@ -326,6 +326,26 @@ TEST_F(RunControlSim, SampleBudgetReturnsPartialEstimate) {
     EXPECT_GT(res.estimate, 0.0); // partial but real
 }
 
+TEST_F(RunControlSim, SampleBudgetStopsAtTheSameCountAtEveryWorkerCount) {
+    // Per-worker streams drain whole rounds; a budget that is no multiple
+    // of the worker count still stops at exactly its count.
+    const stat::ChernoffHoeffding fine(0.05, 0.01);
+    for (const std::size_t workers : {1u, 2u, 3u, 4u}) {
+        ParallelOptions po;
+        po.workers = workers;
+        po.sim.control.budget.max_samples = 50;
+        telemetry::RunReport report;
+        const auto res =
+            estimate_parallel(net, prop, StrategyKind::Progressive, fine, 7, po, &report);
+        EXPECT_EQ(res.status, RunStatus::BudgetExhausted) << workers << " workers";
+        EXPECT_EQ(res.samples, 50u) << workers << " workers";
+        EXPECT_NE(res.stop_cause.find("(50 samples)"), std::string::npos) << res.stop_cause;
+        std::uint64_t accepted = 0;
+        for (const auto& w : report.worker_stats) accepted += w.accepted;
+        EXPECT_EQ(accepted, 50u) << workers << " workers";
+    }
+}
+
 TEST_F(RunControlSim, StepBudgetReturnsPartialEstimate) {
     SimOptions options;
     options.control.budget.max_total_steps = 50;
@@ -514,6 +534,47 @@ TEST_F(RunControlSim, ResumeValidationRejectsMismatchedRuns) {
     EXPECT_THROW(
         (void)estimate(net, prop, StrategyKind::Progressive, gauss, 7, wrong_criterion),
         Error);
+}
+
+TEST_F(RunControlSim, ResumeRejectsChangedStopParameters) {
+    const auto cut = [&](const stat::StopCriterion& criterion, const char* name) {
+        const std::string path = temp_path(name);
+        SimOptions first;
+        first.control.budget.max_samples = 100;
+        first.control.checkpoint_path = path;
+        (void)estimate(net, prop, StrategyKind::Progressive, criterion, 7, first);
+        return RunCheckpoint::load(path);
+    };
+    const auto expect_rejected = [&](const RunCheckpoint& ck,
+                                     const stat::StopCriterion& criterion,
+                                     const std::string& stored, const std::string& requested) {
+        SimOptions second;
+        second.control.resume = &ck;
+        try {
+            (void)estimate(net, prop, StrategyKind::Progressive, criterion, 7, second);
+            FAIL() << "expected a --resume error naming " << stored;
+        } catch (const Error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("--resume"), std::string::npos) << what;
+            EXPECT_NE(what.find(stored), std::string::npos) << what;
+            EXPECT_NE(what.find(requested), std::string::npos) << what;
+            EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+        }
+    };
+
+    const RunCheckpoint gauss_ck = cut(stat::GaussCriterion(0.05, 0.02), "ck_eps.bin");
+    EXPECT_EQ(gauss_ck.stop_parameters,
+              (stat::StopParameters{{"delta", 0.05}, {"eps", 0.02}}));
+    expect_rejected(gauss_ck, stat::GaussCriterion(0.05, 0.05), "eps 0.02", "eps 0.05");
+    SimOptions same;
+    same.control.resume = &gauss_ck;
+    EXPECT_NO_THROW(
+        (void)estimate(net, prop, StrategyKind::Progressive,
+                       stat::GaussCriterion(0.05, 0.02), 7, same));
+
+    const RunCheckpoint sprt_ck = cut(stat::Sprt(0.985, 0.005, 0.05), "ck_sprt.bin");
+    expect_rejected(sprt_ck, stat::Sprt(0.5, 0.005, 0.05), "threshold 0.985",
+                    "threshold 0.5");
 }
 
 struct FaultIsolation : ::testing::Test {

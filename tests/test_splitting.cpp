@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <thread>
 
 #include "ctmc/flow.hpp"
 #include "expr/eval.hpp"
@@ -181,6 +183,27 @@ TEST(Splitting, ByteIdenticalAcrossWorkerCounts) {
             EXPECT_EQ(par.levels[i].clones, ref.levels[i].clones);
         }
     }
+
+    // Far more roots than a worker's hand-off window (4096 trees), so the
+    // producers really do block on it; the result still may not move.
+    const eda::Network many_net =
+        eda::build_network_from_source(n_component_model(2, 0.2));
+    const auto many_prop = sim::make_reachability(many_net.model(), "all_broken", 1.0);
+    const expr::ExprPtr many_level = make_level_function(many_net.model(), level_sum(2));
+    SplittingOptions many;
+    many.splitting_factor = 4;
+    many.base_runs = 20'000;
+    many.workers = 1;
+    const auto many_ref =
+        estimate_splitting(many_net, many_prop, sim::StrategyKind::Asap, many_level, 42, many);
+    EXPECT_GT(many_ref.goal_hits, 0u);
+    for (const std::size_t workers : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+        many.workers = workers;
+        const auto par = estimate_splitting(many_net, many_prop, sim::StrategyKind::Asap,
+                                            many_level, 42, many);
+        EXPECT_EQ(par.to_string(), many_ref.to_string()) << workers << " workers";
+        EXPECT_EQ(par.terminals, many_ref.terminals) << workers << " workers";
+    }
 }
 
 TEST(Splitting, SummaryOmitsWallClock) {
@@ -332,6 +355,67 @@ TEST(Splitting, InterruptFlagDrainsToPartialResult) {
     EXPECT_EQ(res.status, sim::RunStatus::Interrupted);
     EXPECT_EQ(res.base_runs, 0u);
     EXPECT_FALSE(res.stop_cause.empty());
+}
+
+TEST(Splitting, StopsWhileWorkersWaitOnAFullWindow) {
+    // Cheap trees and far more roots than the hand-off window (4096 trees
+    // per worker): the workers run a full window ahead of the consumer and
+    // wait for it. A root budget, a path budget and a raised interrupt flag
+    // must each wake them, end the run, and leave the same partial result
+    // as one worker stopped at the same root.
+    const eda::Network net =
+        eda::build_network_from_source(n_component_model(2, 0.2));
+    const auto prop = sim::make_reachability(net.model(), "all_broken", 1.0);
+    const expr::ExprPtr level = make_level_function(net.model(), level_sum(2));
+    SplittingOptions opt;
+    opt.splitting_factor = 4;
+    opt.base_runs = 40'000;
+    const auto at = [&](std::size_t workers) {
+        opt.workers = workers;
+        return estimate_splitting(net, prop, sim::StrategyKind::Asap, level, 9, opt);
+    };
+
+    opt.sim.control.budget.max_samples = 20'000;
+    const auto roots_ref = at(1);
+    EXPECT_EQ(roots_ref.status, sim::RunStatus::BudgetExhausted);
+    EXPECT_EQ(roots_ref.base_runs, 20'000u);
+    for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
+        const auto res = at(workers);
+        EXPECT_EQ(res.status, sim::RunStatus::BudgetExhausted) << workers << " workers";
+        EXPECT_EQ(res.to_string(), roots_ref.to_string()) << workers << " workers";
+    }
+
+    opt.sim.control.budget.max_samples = 0;
+    opt.max_total_paths = roots_ref.total_paths;
+    const auto paths_ref = at(1);
+    EXPECT_EQ(paths_ref.status, sim::RunStatus::BudgetExhausted);
+    EXPECT_NE(paths_ref.stop_cause.find("--split-max-paths"), std::string::npos);
+    EXPECT_LT(paths_ref.base_runs, opt.base_runs);
+    for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
+        const auto res = at(workers);
+        EXPECT_EQ(res.status, sim::RunStatus::BudgetExhausted) << workers << " workers";
+        EXPECT_EQ(res.to_string(), paths_ref.to_string()) << workers << " workers";
+    }
+
+    // The interrupt lands at a timing-dependent root: compare against one
+    // worker stopped there by a root budget.
+    opt.max_total_paths = SplittingOptions{}.max_total_paths;
+    opt.base_runs = 2'000'000;
+    std::atomic<bool> flag{false};
+    opt.sim.control.interrupt = &flag;
+    std::thread raiser([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        flag.store(true);
+    });
+    const auto interrupted = at(4);
+    raiser.join();
+    EXPECT_EQ(interrupted.status, sim::RunStatus::Interrupted);
+    EXPECT_LT(interrupted.base_runs, opt.base_runs);
+    if (interrupted.base_runs > 0) {
+        opt.sim.control.interrupt = nullptr;
+        opt.sim.control.budget.max_samples = interrupted.base_runs;
+        EXPECT_EQ(at(1).to_string(), interrupted.to_string());
+    }
 }
 
 TEST(Splitting, SplittingFactorOneIsCrudeMonteCarlo) {

@@ -12,13 +12,17 @@ cell the committed matrix file (tools/contract_matrix.json) stores:
   * exit     the exit code;
   * stderr   stderr, with the scratch directory replaced by `{tmp}`.
 
-Two relations are checked on top of the pinned values:
+Three relations are checked on top of the pinned values:
   * surfaces: the cell rerun with --metrics-out, with --log and (unless it
     uses --processes, which rejects tracing) with --trace must give the
     same report hash as the plain cell;
   * no-telemetry: the cell rerun with --no-telemetry must give the same
     report as the plain cell once `counters` and `histograms` (the only
-    sections telemetry decides) are dropped from both.
+    sections telemetry decides) are dropped from both;
+  * splitting memory: failover splitting at 3 workers must not grow its
+    peak RSS by more than RSS_GROWTH_LIMIT from SPLIT_RSS_ROOTS[0] to
+    SPLIT_RSS_ROOTS[1] root trees (workers hand trees over through a
+    bounded window, so memory is flat in the root count).
 
 Usage: contract_matrix.py [--bin PATH] [--update]
 Without --update every cell is run and compared against the matrix file;
@@ -58,6 +62,8 @@ ESTIMATION_MODES = {
     'split': ['--split-auto', '--split-factor', '4', '--split-pilot', '128'],
 }
 SEED = ['--seed', '7']
+SPLIT_RSS_ROOTS = (20_000, 160_000)
+RSS_GROWTH_LIMIT = 1.5
 
 
 def cells():
@@ -89,6 +95,10 @@ def cells():
     out['gps/sprt/budget'] = MODELS['gps'] + ['--test', '0.985', '--max-samples', '100'] + SEED
     out['markov/ctmc'] = MARKOV + ['--ctmc']
     out['markov/scalar/w3'] = MARKOV + ESTIMATION_MODES['scalar'] + ['--workers', '3'] + SEED
+    # A sample budget that is no multiple of the worker count stops at its
+    # count exactly: the last round of per-worker streams ends early.
+    out['markov/budget/w3'] = (MARKOV + ESTIMATION_MODES['scalar'] +
+                               ['--max-samples', '50', '--workers', '3'] + SEED)
     return out
 
 
@@ -166,6 +176,28 @@ def evaluate(binary, name, args):
     return pinned, errors
 
 
+def split_rss_errors(binary):
+    """Checks that splitting's peak RSS stays flat in the root count."""
+    rss = []
+    for roots in SPLIT_RSS_ROOTS:
+        args = (MODELS['failover'] + ESTIMATION_MODES['split'] +
+                ['--split-roots', str(roots), '--workers', '3'] + SEED)
+        with tempfile.TemporaryDirectory(prefix='slimsim-matrix-') as tmp:
+            report = pathlib.Path(tmp) / 'report.json'
+            proc = subprocess.run([binary] + args + ['--json', str(report)], cwd=ROOT,
+                                  capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+            if proc.returncode != 0:
+                return [f'split-rss: {roots} roots exited {proc.returncode}: {proc.stderr}']
+            rss.append(json.loads(report.read_text())['resources']['peak_rss_bytes'])
+    growth = rss[1] / rss[0]
+    print(f'split-rss: peak RSS {rss[0] / 2**20:.1f} MiB at {SPLIT_RSS_ROOTS[0]} roots, '
+          f'{rss[1] / 2**20:.1f} MiB at {SPLIT_RSS_ROOTS[1]} ({growth:.2f}x)')
+    if growth > RSS_GROWTH_LIMIT:
+        return [f'split-rss: peak RSS grew {growth:.2f}x from {SPLIT_RSS_ROOTS[0]} to '
+                f'{SPLIT_RSS_ROOTS[1]} roots (limit {RSS_GROWTH_LIMIT}x)']
+    return []
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -182,7 +214,7 @@ def main():
         futures = {n: pool.submit(evaluate, binary, n, a) for n, a in cells().items()}
         results = {n: f.result() for n, f in futures.items()}
 
-    failures = []
+    failures = split_rss_errors(binary)
     for name in sorted(results):
         values, errors = results[name]
         failures.extend(errors)

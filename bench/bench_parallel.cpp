@@ -110,6 +110,14 @@ void tracing_overhead(benchio::Report& report) {
     report.root()["tracing_overhead"] = std::move(section);
 }
 
+// Size of the checkpoint, live-metrics and journal sections: 5,693
+// gps_restart paths, so that one side runs for at least 0.2 s, over 60
+// interleaved pairs. At 2,050 paths (eps 0.03) and 10 pairs a side took
+// about 0.1 s, and run-to-run noise alone swung the paired median across
+// the 5% gates.
+constexpr double kGatedSectionEps = 0.018;
+constexpr std::size_t kGatedSectionPairs = 60;
+
 // An overhead section: each side's timings and paths/s (from its minimum),
 // and the overhead CI gates: the median over the interleaved pairs of
 // on/off - 1 (benchio::paired_median_overhead_percent).
@@ -180,13 +188,13 @@ void checkpoint_overhead(benchio::Report& report) {
     const double bound = 96.0 * 3600.0;
     const sim::TimedReachability prop =
         sim::make_reachability(net.model(), models::gps_restart_goal(), bound);
-    const stat::ChernoffHoeffding criterion(0.05, 0.03);
+    const stat::ChernoffHoeffding criterion(0.05, kGatedSectionEps);
     const std::size_t n = *criterion.fixed_sample_count();
     const std::string ck_path = "bench_checkpoint.ckpt";
     const std::uint64_t every = 256;
     std::printf("\n== checkpoint overhead (N = %zu paths, 4 workers, snapshot every "
-                "%llu samples, median of 10 interleaved pairs) ==\n",
-                n, static_cast<unsigned long long>(every));
+                "%llu samples, median of %zu interleaved pairs) ==\n",
+                n, static_cast<unsigned long long>(every), kGatedSectionPairs);
     auto run = [&](bool checkpointed) {
         return [&, checkpointed] {
             sim::ParallelOptions po;
@@ -201,7 +209,8 @@ void checkpoint_overhead(benchio::Report& report) {
                                                criterion, curve, 9, po);
         };
     };
-    const auto [off, on] = benchio::measure_interleaved(run(false), run(true), 10, 2);
+    const auto [off, on] =
+        benchio::measure_interleaved(run(false), run(true), kGatedSectionPairs, 2);
     std::remove(ck_path.c_str());
     report.root()["checkpoint_overhead"] = overhead_section("checkpoint", n, off, on);
 }
@@ -219,11 +228,11 @@ void metrics_overhead(benchio::Report& report) {
     const double bound = 96.0 * 3600.0;
     const sim::TimedReachability prop =
         sim::make_reachability(net.model(), models::gps_restart_goal(), bound);
-    const stat::ChernoffHoeffding criterion(0.05, 0.03);
+    const stat::ChernoffHoeffding criterion(0.05, kGatedSectionEps);
     const std::size_t n = *criterion.fixed_sample_count();
-    std::printf("\n== live metrics overhead (N = %zu paths, 4 workers, median of 10 "
+    std::printf("\n== live metrics overhead (N = %zu paths, 4 workers, median of %zu "
                 "interleaved pairs) ==\n",
-                n);
+                n, kGatedSectionPairs);
     auto run = [&](bool instrumented) {
         return [&, instrumented] {
             metrics::Registry registry(4);
@@ -234,7 +243,8 @@ void metrics_overhead(benchio::Report& report) {
                                          9, po);
         };
     };
-    const auto [off, on] = benchio::measure_interleaved(run(false), run(true), 10, 2);
+    const auto [off, on] =
+        benchio::measure_interleaved(run(false), run(true), kGatedSectionPairs, 2);
     report.root()["metrics_overhead"] = overhead_section("metrics", n, off, on);
 }
 
@@ -307,11 +317,11 @@ void journal_overhead(benchio::Report& report) {
     const double bound = 96.0 * 3600.0;
     const sim::TimedReachability prop =
         sim::make_reachability(net.model(), models::gps_restart_goal(), bound);
-    const stat::ChernoffHoeffding criterion(0.05, 0.03);
+    const stat::ChernoffHoeffding criterion(0.05, kGatedSectionEps);
     const std::size_t n = *criterion.fixed_sample_count();
-    std::printf("\n== run journal overhead (N = %zu paths, 4 workers, median of 10 "
+    std::printf("\n== run journal overhead (N = %zu paths, 4 workers, median of %zu "
                 "interleaved pairs) ==\n",
-                n);
+                n, kGatedSectionPairs);
     auto run = [&](bool logged) {
         return [&, logged] {
             journal::Journal journal(journal::Level::Debug);
@@ -323,7 +333,8 @@ void journal_overhead(benchio::Report& report) {
                                          9, po);
         };
     };
-    const auto [off, on] = benchio::measure_interleaved(run(false), run(true), 10, 2);
+    const auto [off, on] =
+        benchio::measure_interleaved(run(false), run(true), kGatedSectionPairs, 2);
     report.root()["journal_overhead"] = overhead_section("journal", n, off, on);
 }
 

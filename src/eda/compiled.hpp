@@ -11,9 +11,9 @@
 // instance concurrently.
 //
 // The simulate-many half lives in SimScratch: per-worker reusable buffers
-// (expression registers, candidate/write/ready lists, the interned
-// discrete-state table and the per-path state), so the hot loop runs
-// allocation-free once warmed up.
+// (expression registers, candidate/write/ready/firing lists, the interned
+// discrete-state table and the per-path state), so a path allocates nothing
+// once the interner has seen its configurations (tests/test_alloc_free.cpp).
 #pragma once
 
 #include <algorithm>
@@ -289,9 +289,12 @@ struct SimScratch {
     expr::EvalScratch eval;
     StateInterner interner;
     std::vector<Candidate> candidates;           // candidates() output buffer
-    std::vector<std::pair<VarId, Value>> writes; // apply_firing buffer
+    std::vector<std::pair<VarId, Value>> writes; // apply_firing / fire_one effects
     std::vector<int> ready;                      // sync/broadcast sub-choices
     std::vector<std::pair<ProcessId, int>> firing;
+    std::vector<std::pair<ProcessId, int>> fired; // StepInfo::fired storage
+    std::vector<std::pair<ProcessId, int>> left;  // (error process, old location)
+    std::vector<char> next_active;                // activation fixpoint round
     /// Successful initial state, cached lazily (models whose initial flows
     /// throw keep per-path throw semantics).
     std::optional<NetworkState> initial;

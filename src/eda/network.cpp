@@ -318,14 +318,14 @@ void Network::settle(NetworkState& s, SimScratch& scratch) const {
 /// valuation, location change, timer reset, injection restore on leaving an
 /// injected error state. Used for activation cascades; the synchronized main
 /// step pre-evaluates effects jointly in apply_firing.
-void Network::fire_one(NetworkState& s, ProcessId p, int t, StepInfo* info,
-                       SimScratch& scratch) const {
+void Network::fire_one(NetworkState& s, ProcessId p, int t, SimScratch& scratch) const {
     const InstProcess& proc = model_->processes[static_cast<std::size_t>(p)];
     const InstTransition& tr = proc.transitions[static_cast<std::size_t>(t)];
     const int old_loc = s.locations[static_cast<std::size_t>(p)];
 
-    std::vector<std::pair<VarId, Value>> writes;
-    writes.reserve(tr.effects.size());
+    // apply_firing has applied its writes before any cascade fires.
+    std::vector<std::pair<VarId, Value>>& writes = scratch.writes;
+    writes.clear();
     const CompiledTransition& ct = cm_->process(p).transitions[static_cast<std::size_t>(t)];
     for (const auto& [target, prog] : ct.effects) {
         writes.emplace_back(target, prog->run(s.values, scratch.eval));
@@ -338,14 +338,14 @@ void Network::fire_one(NetworkState& s, ProcessId p, int t, StepInfo* info,
             if (inj.process == p && inj.state == old_loc) s.values[inj.target] = inj.restore;
         }
     }
-    if (info != nullptr) info->fired.emplace_back(p, t);
+    scratch.fired.emplace_back(p, t);
 }
 
-void Network::recompute_activation(NetworkState& s, StepInfo* info,
-                                   SimScratch& scratch) const {
+void Network::recompute_activation(NetworkState& s, SimScratch& scratch) const {
     if (static_activation_) return;
+    std::vector<char>& next = scratch.next_active;
     for (int round = 0; round < 64; ++round) {
-        std::vector<char> next(model_->instances.size(), 1);
+        next.assign(model_->instances.size(), 1);
         for (std::size_t i = 0; i < model_->instances.size(); ++i) {
             const Instance& inst = model_->instances[i];
             if (inst.parent < 0) continue;
@@ -361,23 +361,21 @@ void Network::recompute_activation(NetworkState& s, StepInfo* info,
             }
             next[i] = a ? 1 : 0;
         }
-        bool changed = false;
-        std::vector<std::size_t> activated;
-        std::vector<std::size_t> deactivated;
-        for (std::size_t i = 0; i < model_->instances.size(); ++i) {
-            if (next[i] == s.active[i]) continue;
-            changed = true;
-            (next[i] != 0 ? activated : deactivated).push_back(i);
-        }
-        if (!changed) return;
+        if (next == s.active) return;
 
-        // Deactivation transitions fire before the instance freezes.
-        for (const std::size_t i : deactivated) {
-            fire_trigger_class(s, i, TriggerClass::OnDeactivate, info, scratch);
+        // Deactivation transitions fire before the instance freezes, then
+        // activations, each in index order; after the swap `next` holds the
+        // previous activation.
+        for (std::size_t i = 0; i < next.size(); ++i) {
+            if (next[i] == 0 && s.active[i] != 0) {
+                fire_trigger_class(s, i, TriggerClass::OnDeactivate, scratch);
+            }
         }
-        s.active = std::move(next);
-        for (const std::size_t i : activated) {
-            fire_trigger_class(s, i, TriggerClass::OnActivate, info, scratch);
+        s.active.swap(next);
+        for (std::size_t i = 0; i < next.size(); ++i) {
+            if (s.active[i] != 0 && next[i] == 0) {
+                fire_trigger_class(s, i, TriggerClass::OnActivate, scratch);
+            }
         }
     }
     throw Error("activation/deactivation cascade did not stabilize (model error)");
@@ -387,7 +385,8 @@ StepInfo Network::apply_firing(NetworkState& s,
                                const std::vector<std::pair<ProcessId, int>>& firing,
                                SimScratch& scratch) const {
     scratch.bind(*cm_);
-    StepInfo info;
+    std::vector<std::pair<ProcessId, int>>& fired = scratch.fired;
+    fired.clear();
     // Synchronized semantics: all effect right-hand sides are evaluated
     // against the pre-state, then applied (in process order on conflicts).
     std::vector<std::pair<VarId, Value>>& writes = scratch.writes;
@@ -399,7 +398,8 @@ StepInfo Network::apply_firing(NetworkState& s,
             writes.emplace_back(target, prog->run(s.values, scratch.eval));
         }
     }
-    std::vector<std::pair<ProcessId, int>> left; // (error process, old location)
+    std::vector<std::pair<ProcessId, int>>& left = scratch.left;
+    left.clear();
     for (const auto& [p, t] : firing) {
         const InstProcess& proc = model_->processes[static_cast<std::size_t>(p)];
         const InstTransition& tr = proc.transitions[static_cast<std::size_t>(t)];
@@ -407,7 +407,7 @@ StepInfo Network::apply_firing(NetworkState& s,
         s.locations[static_cast<std::size_t>(p)] = tr.dst;
         s.values[proc.timer] = Value(0.0);
         if (proc.is_error && tr.dst != old_loc) left.emplace_back(p, old_loc);
-        info.fired.emplace_back(p, t);
+        fired.emplace_back(p, t);
     }
     apply_writes(*cm_, s, writes);
     for (const auto& [p, old_loc] : left) {
@@ -415,9 +415,9 @@ StepInfo Network::apply_firing(NetworkState& s,
             if (inj.process == p && inj.state == old_loc) s.values[inj.target] = inj.restore;
         }
     }
-    recompute_activation(s, &info, scratch);
+    recompute_activation(s, scratch);
     settle(s, scratch);
-    return info;
+    return StepInfo{fired};
 }
 
 StepInfo Network::execute(NetworkState& s, const Candidate& c, Rng& rng,
@@ -572,7 +572,7 @@ Network::resolve_moves(const NetworkState& s, const Candidate& c, SimScratch& sc
 // --- activation trigger firing helper ----------------------------------------
 
 void Network::fire_trigger_class(NetworkState& s, std::size_t instance, TriggerClass tc,
-                                 StepInfo* info, SimScratch& scratch) const {
+                                 SimScratch& scratch) const {
     const Instance& inst = model_->instances[instance];
     for (const ProcessId pid : {inst.process, inst.error_process}) {
         if (pid < 0) continue;
@@ -580,7 +580,7 @@ void Network::fire_trigger_class(NetworkState& s, std::size_t instance, TriggerC
         for (const int t : outgoing(s, pid)) {
             const InstTransition& tr = proc.transitions[static_cast<std::size_t>(t)];
             if (tr.trigger == tc && enabled_now(s, pid, t, scratch)) {
-                fire_one(s, pid, t, info, scratch);
+                fire_one(s, pid, t, scratch);
                 break; // deterministic: first enabled in declaration order
             }
         }

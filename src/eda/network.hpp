@@ -24,10 +24,12 @@ using slim::ChannelId;
 using slim::InstanceModel;
 using slim::ProcessId;
 
-/// Result classification of a discrete step (for traces / debugging).
+/// The transitions a discrete step fired, as (process, transition idx) in
+/// firing order: the main step's firing set, then any activation cascade.
+/// `fired` is a view into the caller's SimScratch (`SimScratch::fired`),
+/// valid until that scratch's next firing.
 struct StepInfo {
-    std::string description;
-    std::vector<std::pair<ProcessId, int>> fired; // (process, transition idx)
+    std::span<const std::pair<ProcessId, int>> fired;
 };
 
 /// Stable flat numbering of the instantiated network's elements, for
@@ -158,7 +160,7 @@ public:
     /// Executes a candidate chosen by the strategy (after any elapse). For
     /// Sync, each participant's transition is drawn equiprobably among its
     /// enabled ones; for BroadcastSend, every ready receiver joins. Returns
-    /// step details for tracing.
+    /// the fired transitions (a view into the scratch, see StepInfo).
     StepInfo execute(NetworkState& s, const Candidate& c, Rng& rng,
                      SimScratch& scratch) const;
 
@@ -198,13 +200,13 @@ public:
 private:
     // The helpers below run on a scratch already bound by the public entry
     // point that called them.
-    void recompute_activation(NetworkState& s, StepInfo* info, SimScratch& scratch) const;
+    // Cascade firings append to `scratch.fired`.
+    void recompute_activation(NetworkState& s, SimScratch& scratch) const;
     void fire_trigger_class(NetworkState& s, std::size_t instance, slim::TriggerClass tc,
-                            StepInfo* info, SimScratch& scratch) const;
+                            SimScratch& scratch) const;
     /// Inject / flow / inject after the locations and activation are final.
     void settle(NetworkState& s, SimScratch& scratch) const;
-    void fire_one(NetworkState& s, ProcessId p, int t, StepInfo* info,
-                  SimScratch& scratch) const;
+    void fire_one(NetworkState& s, ProcessId p, int t, SimScratch& scratch) const;
     [[nodiscard]] IntervalSet guard_times(const NetworkState& s,
                                           std::span<const double> rates, ProcessId p,
                                           int t, SimScratch& scratch) const;

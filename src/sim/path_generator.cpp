@@ -290,12 +290,8 @@ std::optional<PathOutcome> PathGenerator::iterate(eda::NetworkState& s, Rng& rng
     const double sched = continue_policy && *sched_abs ? **sched_abs : -1.0;
     if (continue_policy && sched >= s.time && sched - s.time <= window) {
         const double d = sched - s.time;
-        std::vector<int> enabled;
-        for (std::size_t i = 0; i < cands.size(); ++i) {
-            if (cands[i].enabled.contains(d)) enabled.push_back(static_cast<int>(i));
-        }
-        if (!enabled.empty()) {
-            choice = ScheduledChoice{d, enabled[rng.uniform_index(enabled.size())]};
+        if (const int idx = pick_enabled_at(cands, d, rng); idx >= 0) {
+            choice = ScheduledChoice{d, idx};
         }
     }
     if (!choice) {

@@ -6,19 +6,20 @@
 
 namespace slimsim::sim {
 
+int pick_enabled_at(std::span<const eda::Candidate> candidates, double t, Rng& rng) {
+    // Count, draw k, then walk to the k-th enabled candidate: the same draw
+    // and result as indexing a list of the enabled ones, without the list.
+    std::size_t n = 0;
+    for (const auto& c : candidates) n += c.enabled.contains(t) ? 1 : 0;
+    if (n == 0) return -1;
+    std::size_t k = rng.uniform_index(n);
+    for (std::size_t i = 0;; ++i) {
+        if (candidates[i].enabled.contains(t) && k-- == 0) return static_cast<int>(i);
+    }
+}
+
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Uniform pick among candidates enabled at delay t (equiprobability of
-/// under-specified choice). Returns -1 if none is enabled at t.
-int pick_enabled_at(std::span<const eda::Candidate> candidates, double t, Rng& rng) {
-    std::vector<int> enabled;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (candidates[i].enabled.contains(t)) enabled.push_back(static_cast<int>(i));
-    }
-    if (enabled.empty()) return -1;
-    return enabled[rng.uniform_index(enabled.size())];
-}
 
 class AsapStrategy final : public Strategy {
 public:

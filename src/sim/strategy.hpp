@@ -48,6 +48,13 @@ public:
                              const ScheduledChoice& choice) = 0;
 };
 
+/// Uniform pick among the candidates enabled at delay t (equiprobability of
+/// under-specified choice): one rng.uniform_index(n) draw over the n enabled
+/// ones, returning the drawn one's index in candidate order. Returns -1, and
+/// draws nothing, if none is enabled at t.
+[[nodiscard]] int pick_enabled_at(std::span<const eda::Candidate> candidates, double t,
+                                  Rng& rng);
+
 class Strategy {
 public:
     virtual ~Strategy() = default;

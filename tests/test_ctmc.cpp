@@ -253,6 +253,69 @@ TEST(StateSpace, ImcGoldenOnPaperModels) {
     }
 }
 
+// Pins vanishing-state elimination and lumping on the same models: every
+// transition in order with its rate's bits, the goal flags, the initial
+// distribution and the block numbering, so a change to the order in which a
+// target receives its additions (or to block numbering) shows.
+std::uint64_t ctmc_fingerprint(const CtmcModel& m) {
+    std::uint64_t h = 1;
+    for (StateId s = 0; s < m.state_count(); ++s) {
+        h = hash_mix(h, std::uint64_t{m.goal[s] != 0});
+        for (const auto& [t, r] : m.transitions[s]) {
+            h = hash_mix(h, t);
+            h = hash_mix(h, double_bits(r));
+        }
+        h = hash_mix(h, 0xabc);
+    }
+    for (const auto& [t, p] : m.initial) {
+        h = hash_mix(h, t);
+        h = hash_mix(h, double_bits(p));
+    }
+    return h;
+}
+
+TEST(Elimination, FingerprintsOnPaperModels) {
+    struct Golden {
+        const char* name;
+        std::string source;
+        std::string goal;
+        std::size_t tangible;
+        std::uint64_t eliminated;
+        std::size_t blocks;
+        std::uint64_t lumped; // quotient chain and block_of
+    };
+    std::vector<Golden> goldens = {
+        {"R=1", models::sensor_filter_source(1), models::sensor_filter_goal(), 3,
+         0xbc3fcad68cb90adULL, 2, 0x4e6f647c811f4508ULL},
+        {"R=2", models::sensor_filter_source(2), models::sensor_filter_goal(), 15,
+         0xf7a6e9b7fa57b6deULL, 5, 0x4996f15cc81de2a3ULL},
+        {"R=3", models::sensor_filter_source(3), models::sensor_filter_goal(), 63,
+         0xa57eff45aaa81c35ULL, 10, 0xc761edc6aa41855cULL},
+        {"R=4", models::sensor_filter_source(4), models::sensor_filter_goal(), 255,
+         0x22655bbc6f2dd8c5ULL, 17, 0xa0325139d1189b88ULL},
+        {"R=5", models::sensor_filter_source(5), models::sensor_filter_goal(), 1023,
+         0xb9060cc008857a5dULL, 27, 0xcb850698a30f35fcULL},
+        {"R=6", models::sensor_filter_source(6), models::sensor_filter_goal(), 4095,
+         0x63d7139561146b5cULL, 59, 0x617001caf877bbb1ULL},
+        {"fail-over", models::failover_source({.pump_fail_per_hour = 0.003}),
+         models::failover_goal(), 4, 0x9bb3c64bf2977c40ULL, 3, 0x6a1ec7a28ea997b0ULL},
+    };
+    for (const Golden& g : goldens) {
+        SCOPED_TRACE(g.name);
+        const eda::Network net = net_of(g.source);
+        const auto prop = sim::make_reachability(net.model(), g.goal, 1.0);
+        const CtmcModel m = eliminate_vanishing(build_state_space(net, *prop.goal));
+        LumpResult lr;
+        const CtmcModel q = minimize(m, &lr);
+        std::uint64_t lumped = ctmc_fingerprint(q);
+        for (const StateId b : lr.block_of) lumped = hash_mix(lumped, b);
+        EXPECT_EQ(m.state_count(), g.tangible);
+        EXPECT_EQ(ctmc_fingerprint(m), g.eliminated);
+        EXPECT_EQ(lr.block_count, g.blocks);
+        EXPECT_EQ(lumped, g.lumped);
+    }
+}
+
 TEST(Flow, EndToEndMatchesAnalytic) {
     const eda::Network net = net_of(kSimpleMarkov);
     const auto prop = sim::make_reachability(net.model(), "broken", 3.0);

@@ -549,6 +549,14 @@ TEST(CompiledModel, ContentHashSurvivesReformatting) {
     EXPECT_EQ(a->content_hash(), b->content_hash());
 }
 
+TEST(CompiledModel, ContentHashIsPinned) {
+    // Checkpoints carry this hash as the model identity: a change to
+    // hash_mix / hash_words or to what model_content_hash feeds them would
+    // make every existing checkpoint of the model unresumable.
+    const eda::CompiledModelPtr cm = compile_file(model_path("gps.slim"));
+    EXPECT_EQ(cm->content_hash(), 0x1ded5a9fbb5b9bb9ULL);
+}
+
 TEST(CompiledModel, CheckpointRejectsContentHashMismatchNamingFlags) {
     const eda::CompiledModelPtr cm = compile_file(model_path("gps.slim"));
     sim::RunCheckpoint ck;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "support/diagnostics.hpp"
 
@@ -54,19 +53,18 @@ CtmcModel quotient(const CtmcModel& m, const std::vector<StateId>& block_of,
     q.transitions.resize(block_count);
     q.goal.assign(block_count, 0);
     std::vector<char> done(block_count, 0);
+    Accumulator acc(block_count);
     for (StateId s = 0; s < m.state_count(); ++s) {
         const StateId b = block_of[s];
         SLIMSIM_ASSERT(b < block_count);
         if (m.goal[s]) q.goal[b] = 1;
         if (done[b]) continue; // rates are block-invariant; one representative suffices
         done[b] = 1;
-        std::map<StateId, double> out;
-        for (const auto& [t, r] : m.transitions[s]) out[block_of[t]] += r;
-        q.transitions[b].assign(out.begin(), out.end());
+        for (const auto& [t, r] : m.transitions[s]) acc.add(block_of[t], r);
+        acc.drain([&](StateId t, double r) { q.transitions[b].emplace_back(t, r); });
     }
-    std::map<StateId, double> init;
-    for (const auto& [s, p] : m.initial) init[block_of[s]] += p;
-    q.initial.assign(init.begin(), init.end());
+    for (const auto& [s, p] : m.initial) acc.add(block_of[s], p);
+    acc.drain([&](StateId t, double p) { q.initial.emplace_back(t, p); });
     return q;
 }
 

@@ -1,6 +1,5 @@
 #include "ctmc/imc.hpp"
 
-#include <map>
 #include <optional>
 
 #include "support/diagnostics.hpp"
@@ -17,39 +16,47 @@ std::size_t Imc::vanishing_count() const {
 
 namespace {
 
-using Dist = std::map<StateId, double>; // over *old* tangible state ids
+/// Distribution over *old* tangible state ids, ascending.
+using Dist = std::vector<std::pair<StateId, double>>;
 
 /// Memoized distribution of a vanishing state over tangible states.
 class Eliminator {
 public:
-    explicit Eliminator(const Imc& imc) : imc_(imc), memo_(imc.states.size()) {}
+    explicit Eliminator(const Imc& imc)
+        : imc_(imc), memo_(imc.states.size()), on_stack_(imc.states.size(), 0),
+          acc_(imc.states.size()) {}
 
     const Dist& dist_of(StateId v) {
         SLIMSIM_ASSERT(imc_.states[v].vanishing);
         if (memo_[v]) return *memo_[v];
-        if (on_stack_.size() < imc_.states.size()) on_stack_.resize(imc_.states.size(), 0);
         if (on_stack_[v]) {
             throw Error("cycle of immediate transitions in the state space "
                         "(divergent/Zeno model); the CTMC flow cannot handle it");
         }
         on_stack_[v] = 1;
-        Dist d;
+        // Successors first (same recursion order), so the accumulator is
+        // free while v's distribution is summed.
+        for (const auto& [t, p] : imc_.states[v].immediate) {
+            if (imc_.states[t].vanishing) (void)dist_of(t);
+        }
         for (const auto& [t, p] : imc_.states[v].immediate) {
             if (imc_.states[t].vanishing) {
-                for (const auto& [u, q] : dist_of(t)) d[u] += p * q;
+                for (const auto& [u, q] : *memo_[t]) acc_.add(u, p * q);
             } else {
-                d[t] += p;
+                acc_.add(t, p);
             }
         }
         on_stack_[v] = 0;
-        memo_[v] = std::move(d);
-        return *memo_[v];
+        Dist& d = memo_[v].emplace();
+        acc_.drain([&](StateId u, double q) { d.emplace_back(u, q); });
+        return d;
     }
 
 private:
     const Imc& imc_;
     std::vector<std::optional<Dist>> memo_;
     std::vector<char> on_stack_;
+    Accumulator acc_;
 };
 
 } // namespace
@@ -70,21 +77,22 @@ CtmcModel eliminate_vanishing(const Imc& imc) {
     m.transitions.resize(count);
     m.goal.assign(count, 0);
 
+    // Keyed by old ids: ascending old ids of tangible states are ascending
+    // new ids.
+    Accumulator out(imc.states.size());
     for (StateId s = 0; s < imc.states.size(); ++s) {
         const ImcState& st = imc.states[s];
         if (st.vanishing) continue;
         m.goal[new_id[s]] = st.goal ? 1 : 0;
-        Dist out;
         for (const auto& [t, rate] : st.markovian) {
             if (imc.states[t].vanishing) {
-                for (const auto& [u, q] : elim.dist_of(t)) out[u] += rate * q;
+                for (const auto& [u, q] : elim.dist_of(t)) out.add(u, rate * q);
             } else {
-                out[t] += rate;
+                out.add(t, rate);
             }
         }
         auto& edges = m.transitions[new_id[s]];
-        edges.reserve(out.size());
-        for (const auto& [t, rate] : out) edges.emplace_back(new_id[t], rate);
+        out.drain([&](StateId t, double rate) { edges.emplace_back(new_id[t], rate); });
     }
 
     if (imc.states[imc.initial].vanishing) {

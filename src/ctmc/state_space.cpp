@@ -55,35 +55,30 @@ void ensure_untimed(const eda::Network& net, const expr::Expr& goal) {
 
 namespace {
 
-/// Packs a state's discrete projection (locations, non-timed values,
-/// activation) into a fixed number of words; two packings are equal exactly
-/// when the states agree on locations, activation and every non-timed value
-/// under Value::operator==. Layout: the locations as int32 pairs; one word
-/// per non-timed variable, holding the bits of `as_real() + 0.0` for a
-/// numeric (the `+ 0.0` merges -0.0 with +0.0, as Value::operator== does) or
-/// 0/1 for a bool; one mask bit per such variable that holds a bool, so
-/// `true` and `1` stay distinct; then the activation bytes.
+/// Packs a state's discrete projection into a fixed number of words; two
+/// packings are equal exactly when the states agree on locations, activation
+/// and every non-timed value under Value::operator==. Layout: the state's
+/// configuration id in the builder's interner (which stands for the
+/// locations and the activation); one word per non-timed variable, holding
+/// the bits of `as_real() + 0.0` for a numeric (the `+ 0.0` merges -0.0 with
+/// +0.0, as Value::operator== does) or 0/1 for a bool; then one mask bit per
+/// such variable that holds a bool, so `true` and `1` stay distinct.
 class KeyPacker {
 public:
-    explicit KeyPacker(const slim::InstanceModel& m)
-        : location_words_((m.processes.size() + 1) / 2),
-          active_words_((m.instances.size() + 7) / 8) {
+    explicit KeyPacker(const slim::InstanceModel& m) {
         for (VarId v = 0; v < m.vars.size(); ++v) {
             if (!m.vars[v].type.is_timed()) discrete_vars_.push_back(v);
         }
         mask_words_ = (discrete_vars_.size() + 63) / 64;
     }
 
-    [[nodiscard]] std::size_t words() const {
-        return location_words_ + discrete_vars_.size() + mask_words_ + active_words_;
-    }
+    [[nodiscard]] std::size_t words() const { return 1 + discrete_vars_.size() + mask_words_; }
 
-    void pack(const eda::NetworkState& s, std::uint64_t* out) const {
-        static_assert(sizeof(int) == sizeof(std::int32_t));
-        std::fill_n(out, words(), 0);
-        std::memcpy(out, s.locations.data(), s.locations.size() * sizeof(int));
-        std::uint64_t* values = out + location_words_;
+    void pack(const eda::NetworkState& s, std::uint32_t config, std::uint64_t* out) const {
+        out[0] = config;
+        std::uint64_t* values = out + 1;
         std::uint64_t* mask = values + discrete_vars_.size();
+        std::fill_n(mask, mask_words_, 0);
         for (std::size_t i = 0; i < discrete_vars_.size(); ++i) {
             const Value& v = s.values[discrete_vars_[i]];
             if (v.is_bool()) {
@@ -93,14 +88,11 @@ public:
                 values[i] = double_bits(v.as_real() + 0.0);
             }
         }
-        std::memcpy(mask + mask_words_, s.active.data(), s.active.size());
     }
 
 private:
     std::vector<VarId> discrete_vars_;
-    std::size_t location_words_;
     std::size_t mask_words_ = 0;
-    std::size_t active_words_;
 };
 
 } // namespace
@@ -113,7 +105,7 @@ Imc build_state_space(const eda::Network& net, const expr::Expr& goal,
     const KeyPacker packer(net.model());
     const std::size_t width = packer.words();
     std::vector<std::uint64_t> keys;   // `width` words per IMC state, by id
-    std::vector<std::uint64_t> hashes; // hash_words of each state's key
+    std::vector<std::uint64_t> hashes; // state-key hash of each state's key
     std::vector<std::uint64_t> probe(width);
     FlatIndex index;
     // Discovered but unprocessed states, in id order (breadth-first). A
@@ -122,9 +114,12 @@ Imc build_state_space(const eda::Network& net, const expr::Expr& goal,
     eda::SimScratch scratch;
     Imc imc;
 
-    auto intern = [&](const eda::NetworkState& s) -> StateId {
-        packer.pack(s, probe.data());
-        const std::uint64_t h = hash_words(probe.data(), width);
+    // `config` is s's configuration id in the scratch's interner.
+    auto intern = [&](const eda::NetworkState& s, std::uint32_t config) -> StateId {
+        packer.pack(s, config, probe.data());
+        const std::uint64_t h = state_hash_finish(
+            state_hash_bytes(0x57A7E57A7E57A7EULL, probe.data(), width * sizeof(std::uint64_t)),
+            width);
         const std::uint32_t found = index.find(h, [&](std::uint32_t i) {
             return hashes[i] == h && std::memcmp(keys.data() + i * width, probe.data(),
                                                  width * sizeof(std::uint64_t)) == 0;
@@ -143,11 +138,11 @@ Imc build_state_space(const eda::Network& net, const expr::Expr& goal,
         return id;
     };
 
-    imc.initial = intern(net.initial_state(scratch));
+    const eda::NetworkState& initial = net.initial_state(scratch);
+    imc.initial = intern(initial, scratch.interner.intern_id(initial, *net.compiled()));
 
     const expr::ProgramPtr goal_program = expr::compile(goal, {});
     std::vector<eda::Candidate> cands;
-    std::vector<std::pair<eda::ProcessId, int>> firing;
     eda::NetworkState succ; // successor buffer; copied into the frontier only when new
     std::size_t transition_count = 0;
     for (StateId id = 0; id < imc.states.size(); ++id, frontier.pop_front()) {
@@ -168,8 +163,9 @@ Imc build_state_space(const eda::Network& net, const expr::Expr& goal,
             for (const auto& c : cands) {
                 for (const auto& move : net.resolve_moves(s, c, scratch)) {
                     succ = s;
-                    net.apply_firing(succ, move.firing, scratch);
-                    st.immediate.emplace_back(intern(succ), cand_prob * move.probability);
+                    const std::uint32_t config =
+                        net.apply_firing(succ, move.firing, scratch).config;
+                    st.immediate.emplace_back(intern(succ, config), cand_prob * move.probability);
                 }
             }
         } else {
@@ -179,9 +175,10 @@ Imc build_state_space(const eda::Network& net, const expr::Expr& goal,
                     const double rate = p.transitions[static_cast<std::size_t>(t)].rate;
                     if (rate <= 0.0) continue;
                     succ = s;
-                    firing.assign(1, {m.process, t});
-                    net.apply_firing(succ, firing, scratch);
-                    st.markovian.emplace_back(intern(succ), rate);
+                    const std::pair<eda::ProcessId, int> firing{m.process, t};
+                    const std::uint32_t config =
+                        net.apply_firing(succ, std::span(&firing, 1), scratch).config;
+                    st.markovian.emplace_back(intern(succ, config), rate);
                 }
             }
         }

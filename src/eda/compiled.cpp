@@ -1,6 +1,7 @@
 #include "eda/compiled.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <mutex>
 #include <set>
@@ -297,24 +298,20 @@ CompiledModelPtr compile_model(std::shared_ptr<const InstanceModel> model) {
 
 namespace {
 
-/// Streams n bytes into a running hash, eight at a time.
-std::uint64_t hash_bytes(std::uint64_t h, const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (; n >= 8; p += 8, n -= 8) {
-        std::uint64_t word = 0;
-        std::memcpy(&word, p, 8);
-        h = hash_mix(h, word);
-    }
-    if (n == 0) return h;
-    std::uint64_t tail = 0;
-    std::memcpy(&tail, p, n);
-    return hash_mix(h, tail);
+// The words that identify a list element exactly: the bits of its fields,
+// never its padding. Interned lists are shared when their words agree.
+std::array<std::uint64_t, 1> words_of(double d) { return {double_bits(d)}; }
+std::array<std::uint64_t, 1> words_of(std::uint32_t i) { return {i}; }
+std::array<std::uint64_t, 1> words_of(const expr::Program* p) {
+    return {reinterpret_cast<std::uintptr_t>(p)};
 }
-
-std::uint64_t key_hash(std::span<const int> locations, std::span<const char> active) {
-    const std::uint64_t h = hash_bytes(0x57A7E57A7E57A7EULL, locations.data(),
-                                       locations.size_bytes());
-    return hash_bytes(h, active.data(), active.size_bytes());
+std::array<std::uint64_t, 2> words_of(const MarkovianRate& r) {
+    return {static_cast<std::uint32_t>(r.process), double_bits(r.total_rate)};
+}
+std::array<std::uint64_t, 3> words_of(const InternedConfig::TauCandidate& t) {
+    return {static_cast<std::uint32_t>(t.process) |
+                std::uint64_t{static_cast<std::uint32_t>(t.transition)} << 32,
+            static_cast<std::uint64_t>(t.kind), reinterpret_cast<std::uintptr_t>(t.guard)};
 }
 
 } // namespace
@@ -342,33 +339,40 @@ void StateInterner::Arena::clear() {
     block_bytes_ = 1024;
 }
 
-bool StateInterner::same_key(const Entry& e, const NetworkState& s) {
-    return e.locations.size() == s.locations.size() && e.active.size() == s.active.size() &&
-           std::memcmp(e.locations.data(), s.locations.data(), e.locations.size_bytes()) ==
-               0 &&
-           std::memcmp(e.active.data(), s.active.data(), e.active.size_bytes()) == 0;
+bool StateInterner::same_key(const Entry& e, const NetworkState& s) const {
+    return std::memcmp(e.key, s.locations.data(), location_bytes_) == 0 &&
+           std::memcmp(e.key + location_bytes_, s.active.data(), active_bytes_) == 0;
 }
 
-const InternedConfig& StateInterner::intern(const NetworkState& s,
-                                            const CompiledModel& cm) {
+std::uint32_t StateInterner::intern_id(const NetworkState& s, const CompiledModel& cm) {
+    if (entries_.empty()) {
+        location_bytes_ = s.locations.size() * sizeof(int);
+        active_bytes_ = s.active.size();
+    }
+    SLIMSIM_ASSERT(s.locations.size() * sizeof(int) == location_bytes_ &&
+                   s.active.size() == active_bytes_);
     // Lookups within one simulator step see the same configuration, and a
     // firing's successor is interned before the next step looks it up; one
     // full-key comparison against each of the last two hits skips the hash
     // and the probe.
-    if (last_ != kNone && same_key(*entries_[last_], s)) return entries_[last_]->config;
+    if (last_ != kNone && same_key(*entries_[last_], s)) return last_;
     if (prev_ != kNone && same_key(*entries_[prev_], s)) {
         std::swap(last_, prev_);
-        return entries_[last_]->config;
+        return last_;
     }
 
-    const std::uint64_t h = key_hash(s.locations, s.active);
+    const std::uint64_t h = state_hash_finish(
+        state_hash_bytes(state_hash_bytes(0x57A7E57A7E57A7EULL, s.locations.data(),
+                                          location_bytes_),
+                         s.active.data(), active_bytes_),
+        location_bytes_ + active_bytes_);
     std::uint32_t id = index_.find(h, [&](std::uint32_t i) {
         return entries_[i]->hash == h && same_key(*entries_[i], s);
     });
     if (id == kNone) id = insert(s, h, cm);
     prev_ = last_;
     last_ = id;
-    return entries_[id]->config;
+    return id;
 }
 
 std::uint32_t StateInterner::insert(const NetworkState& s, std::uint64_t h,
@@ -418,14 +422,17 @@ std::uint32_t StateInterner::insert(const NetworkState& s, std::uint64_t h,
 
     Entry& e = arena_.make<Entry>();
     e.hash = h;
-    e.locations = arena_.copy(s.locations);
-    e.active = arena_.copy(s.active);
-    e.config.rates = share_rates(rates_);
-    e.config.markov = arena_.copy(markov_);
-    e.config.taus = arena_.copy(taus_);
-    e.config.invariants = arena_.copy(invariants_);
-    e.config.flows = arena_.copy(flows_);
-    e.config.injections = arena_.copy(injections_);
+    auto* key = static_cast<std::byte*>(
+        arena_.allocate(location_bytes_ + active_bytes_, alignof(int)));
+    std::memcpy(key, s.locations.data(), location_bytes_);
+    std::memcpy(key + location_bytes_, s.active.data(), active_bytes_);
+    e.key = key;
+    e.config.rates = share(rates_, rates_pool_);
+    e.config.markov = share(markov_, markov_pool_);
+    e.config.taus = share(taus_, taus_pool_);
+    e.config.invariants = share(invariants_, invariants_pool_);
+    e.config.flows = share(flows_, indices_pool_);
+    e.config.injections = share(injections_, indices_pool_);
 
     const auto id = static_cast<std::uint32_t>(entries_.size());
     entries_.push_back(&e);
@@ -433,29 +440,38 @@ std::uint32_t StateInterner::insert(const NetworkState& s, std::uint64_t h,
     return id;
 }
 
-std::span<const double> StateInterner::share_rates(const std::vector<double>& rates) {
-    if (rates.empty()) return {};
-    const std::size_t bytes = rates.size() * sizeof(double);
-    const std::uint64_t h = hash_bytes(0x4A7E54A7E54A7E5ULL, rates.data(), bytes);
-    // Bitwise comparison: shared vectors are identical to the last bit.
-    const std::uint32_t id = rates_index_.find(h, [&](std::uint32_t i) {
-        const SharedRates& r = shared_rates_[i];
-        return r.hash == h && r.values.size() == rates.size() &&
-               std::memcmp(r.values.data(), rates.data(), bytes) == 0;
-    });
-    if (id != kNone) return shared_rates_[id].values;
-    shared_rates_.push_back({h, arena_.copy(rates)});
-    const auto added = static_cast<std::uint32_t>(shared_rates_.size() - 1);
-    rates_index_.insert(h, added, [&](std::uint32_t i) { return shared_rates_[i].hash; });
-    return shared_rates_.back().values;
+template <class T>
+std::span<const T> StateInterner::share(const std::vector<T>& list, ListPool<T>& pool) {
+    if (list.empty()) return {};
+    std::uint64_t h = 0x4A7E54A7E54A7E5ULL;
+    for (const T& x : list) {
+        for (const std::uint64_t w : words_of(x)) h = state_mix(h, w);
+    }
+    h = state_hash_finish(h, list.size());
+    // Bitwise comparison: shared lists are identical to the last bit.
+    const auto same = [&](std::span<const T> have) {
+        return std::equal(have.begin(), have.end(), list.begin(), list.end(),
+                          [](const T& a, const T& b) { return words_of(a) == words_of(b); });
+    };
+    const std::uint32_t id = pool.index.find(
+        h, [&](std::uint32_t i) { return pool.hashes[i] == h && same(pool.lists[i]); });
+    if (id != kNone) return pool.lists[id];
+    pool.lists.push_back(arena_.copy(std::span<const T>(list)));
+    pool.hashes.push_back(h);
+    const auto added = static_cast<std::uint32_t>(pool.lists.size() - 1);
+    pool.index.insert(h, added, [&](std::uint32_t i) { return pool.hashes[i]; });
+    return pool.lists.back();
 }
 
 void StateInterner::clear() {
     arena_.clear();
     std::vector<const Entry*>().swap(entries_);
     index_.clear();
-    std::vector<SharedRates>().swap(shared_rates_);
-    rates_index_.clear();
+    rates_pool_.clear();
+    markov_pool_.clear();
+    taus_pool_.clear();
+    invariants_pool_.clear();
+    indices_pool_.clear();
     last_ = kNone;
     prev_ = kNone;
 }

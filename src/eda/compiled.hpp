@@ -56,6 +56,13 @@ struct Candidate {
     [[nodiscard]] std::string describe(const InstanceModel& m) const;
 };
 
+/// One joint discrete move of a candidate: the firing set, as (process,
+/// transition idx) in firing order, and its probability weight.
+struct ResolvedMove {
+    std::span<const std::pair<ProcessId, int>> firing;
+    double probability = 1.0;
+};
+
 /// Total Markovian exit rate of one process at the current state.
 struct MarkovianRate {
     ProcessId process = -1;
@@ -173,7 +180,8 @@ using CompiledModelPtr = std::shared_ptr<const CompiledModel>;
 /// per discrete configuration so revisited configurations cost one hash
 /// lookup instead of a model sweep. The spans point into the owning
 /// StateInterner's arena: they stay valid and unchanged until the interner
-/// is cleared or destroyed.
+/// is cleared or destroyed. Configurations with equal lists share one copy
+/// of each list.
 struct InternedConfig {
     /// One strategy candidate (tau / broadcast send) of an active process,
     /// with its compiled guard; candidates_impl's per-step filter applied
@@ -184,7 +192,7 @@ struct InternedConfig {
         Candidate::Kind kind = Candidate::Kind::Tau;
         const expr::Program* guard = nullptr; // null = always enabled
     };
-    std::span<const double> rates;         // derivative per global var (shared)
+    std::span<const double> rates;         // derivative per global var
     std::span<const MarkovianRate> markov; // processes with positive exit rate
     std::span<const TauCandidate> taus;
     /// Location invariants of the active processes, in process order
@@ -199,18 +207,26 @@ struct InternedConfig {
 };
 
 /// Per-worker discrete-state interning table. A flat open-addressing index
-/// (power-of-two uint32 slots, linear probing) maps a hash of the discrete
-/// projection to entry ids; every hit is confirmed by comparing the full key.
-/// Keys and every per-configuration list live in a bump arena whose blocks
-/// never move, so configs returned by intern() stay valid while the
-/// interner exists; identical rate vectors share one arena copy. Not
-/// thread-safe: one interner per worker.
+/// (power-of-two uint32 slots, linear probing) maps a state-key hash of the
+/// discrete projection to entry ids; every hit is confirmed by comparing the
+/// full key. Ids are dense and follow first-sight order. Keys and every
+/// per-configuration list live in a bump arena whose blocks never move, so
+/// configs returned by intern() stay valid while the interner exists. Each
+/// distinct list is stored once (hash-consed, confirmed bitwise) and shared
+/// by every configuration that has it. Not thread-safe: one interner per
+/// worker.
 class StateInterner {
 public:
-    /// Config of s's discrete projection, computing and interning it on
+    /// Id of s's discrete projection, computing and interning its config on
     /// first sight.
+    [[nodiscard]] std::uint32_t intern_id(const NetworkState& s, const CompiledModel& cm);
+    [[nodiscard]] const InternedConfig& config(std::uint32_t id) const {
+        return entries_[id]->config;
+    }
     [[nodiscard]] const InternedConfig& intern(const NetworkState& s,
-                                               const CompiledModel& cm);
+                                               const CompiledModel& cm) {
+        return config(intern_id(s, cm));
+    }
 
     [[nodiscard]] std::size_t size() const { return entries_.size(); }
     void clear();
@@ -220,13 +236,8 @@ private:
 
     struct Entry {
         std::uint64_t hash = 0;
-        std::span<const int> locations;
-        std::span<const char> active;
+        const std::byte* key = nullptr; // the locations' bytes, then the activation's
         InternedConfig config;
-    };
-    struct SharedRates {
-        std::uint64_t hash = 0;
-        std::span<const double> values;
     };
 
     /// Bump allocator over blocks that never move: 1 KiB first, doubling up
@@ -235,12 +246,11 @@ private:
     class Arena {
     public:
         template <class T>
-        [[nodiscard]] std::span<const T> copy(const std::vector<T>& src) {
+        [[nodiscard]] std::span<const T> copy(std::span<const T> src) {
             static_assert(std::is_trivially_copyable_v<T>);
             if (src.empty()) return {};
-            const std::size_t bytes = src.size() * sizeof(T);
-            T* dst = static_cast<T*>(allocate(bytes, alignof(T)));
-            std::memcpy(dst, src.data(), bytes);
+            T* dst = static_cast<T*>(allocate(src.size_bytes(), alignof(T)));
+            std::memcpy(dst, src.data(), src.size_bytes());
             return {dst, src.size()};
         }
         template <class T>
@@ -248,25 +258,48 @@ private:
             static_assert(std::is_trivially_destructible_v<T>);
             return *new (allocate(sizeof(T), alignof(T))) T{};
         }
+        [[nodiscard]] void* allocate(std::size_t bytes, std::size_t align);
         void clear();
 
     private:
-        [[nodiscard]] void* allocate(std::size_t bytes, std::size_t align);
         std::vector<std::unique_ptr<std::byte[]>> blocks_;
         std::byte* next_ = nullptr;
         std::size_t left_ = 0;
         std::size_t block_bytes_ = 1024;
     };
 
-    [[nodiscard]] static bool same_key(const Entry& e, const NetworkState& s);
+    /// The distinct lists of one element type, each stored once.
+    template <class T>
+    struct ListPool {
+        std::vector<std::span<const T>> lists;
+        std::vector<std::uint64_t> hashes;
+        FlatIndex index;
+
+        void clear() {
+            std::vector<std::span<const T>>().swap(lists);
+            std::vector<std::uint64_t>().swap(hashes);
+            index.clear();
+        }
+    };
+
+    [[nodiscard]] bool same_key(const Entry& e, const NetworkState& s) const;
     std::uint32_t insert(const NetworkState& s, std::uint64_t h, const CompiledModel& cm);
-    [[nodiscard]] std::span<const double> share_rates(const std::vector<double>& rates);
+    /// The pool's copy of `list`, added on first sight.
+    template <class T>
+    [[nodiscard]] std::span<const T> share(const std::vector<T>& list, ListPool<T>& pool);
 
     Arena arena_;
     std::vector<const Entry*> entries_;
     FlatIndex index_;
-    std::vector<SharedRates> shared_rates_;
-    FlatIndex rates_index_;
+    // Key shape, fixed by the bound model (one location per process, one
+    // activation flag per instance); set by the first insert.
+    std::size_t location_bytes_ = 0;
+    std::size_t active_bytes_ = 0;
+    ListPool<double> rates_pool_;
+    ListPool<MarkovianRate> markov_pool_;
+    ListPool<InternedConfig::TauCandidate> taus_pool_;
+    ListPool<const expr::Program*> invariants_pool_;
+    ListPool<std::uint32_t> indices_pool_; // flows and injections
     // The last two hits, checked before hashing: a step's lookups repeat
     // one configuration, and a short path alternates between the initial
     // configuration and its successor.
@@ -295,6 +328,12 @@ struct SimScratch {
     std::vector<std::pair<ProcessId, int>> fired; // StepInfo::fired storage
     std::vector<std::pair<ProcessId, int>> left;  // (error process, old location)
     std::vector<char> next_active;                // activation fixpoint round
+    // resolve_moves: each participant's sub-choices (ends per participant),
+    // then the joint moves, whose firing sets live in move_firings.
+    std::vector<std::pair<ProcessId, int>> move_options;
+    std::vector<std::size_t> option_ends;
+    std::vector<std::pair<ProcessId, int>> move_firings;
+    std::vector<ResolvedMove> moves;
     /// Successful initial state, cached lazily (models whose initial flows
     /// throw keep per-path throw semantics).
     std::optional<NetworkState> initial;

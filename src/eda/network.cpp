@@ -288,14 +288,15 @@ void apply_writes(const CompiledModel& cm, NetworkState& s,
 
 } // namespace
 
-void Network::settle(NetworkState& s, SimScratch& scratch) const {
+std::uint32_t Network::settle(NetworkState& s, SimScratch& scratch) const {
     // Injected failure values must both feed the data flows (a failed
     // sensor's wrong reading propagates downstream) and override flows into
     // injected targets (a failed filter's zero output wins over its own
     // flow), hence the inject / flow / inject sandwich. The interned
     // configuration lists exactly the injections of the current error
     // states and the flows of active, ungated-or-open owners, in model order.
-    const InternedConfig& cfg = scratch.interner.intern(s, *cm_);
+    const std::uint32_t id = scratch.interner.intern_id(s, *cm_);
+    const InternedConfig& cfg = scratch.interner.config(id);
     const auto inject = [&] {
         for (const std::uint32_t i : cfg.injections) {
             const slim::Injection& inj = model_->injections[i];
@@ -312,6 +313,7 @@ void Network::settle(NetworkState& s, SimScratch& scratch) const {
         }
     }
     inject();
+    return id;
 }
 
 /// Fires one transition in isolation: effects evaluated against the current
@@ -382,7 +384,7 @@ void Network::recompute_activation(NetworkState& s, SimScratch& scratch) const {
 }
 
 StepInfo Network::apply_firing(NetworkState& s,
-                               const std::vector<std::pair<ProcessId, int>>& firing,
+                               std::span<const std::pair<ProcessId, int>> firing,
                                SimScratch& scratch) const {
     scratch.bind(*cm_);
     std::vector<std::pair<ProcessId, int>>& fired = scratch.fired;
@@ -416,8 +418,7 @@ StepInfo Network::apply_firing(NetworkState& s,
         }
     }
     recompute_activation(s, scratch);
-    settle(s, scratch);
-    return StepInfo{fired};
+    return StepInfo{fired, settle(s, scratch)};
 }
 
 StepInfo Network::execute(NetworkState& s, const Candidate& c, Rng& rng,
@@ -501,33 +502,42 @@ StepInfo Network::execute_markovian(NetworkState& s, ProcessId process, Rng& rng
     return apply_firing(s, firing, scratch);
 }
 
-std::vector<Network::ResolvedMove>
-Network::resolve_moves(const NetworkState& s, const Candidate& c, SimScratch& scratch) const {
+std::span<const ResolvedMove> Network::resolve_moves(const NetworkState& s,
+                                                     const Candidate& c,
+                                                     SimScratch& scratch) const {
     // Enumerates the per-process sub-choices of a candidate with their
     // equiprobable weights (exhaustive builder path; no time analysis here —
     // callers use this on untimed models where enabledness is immediate).
-    std::vector<std::vector<std::pair<ProcessId, int>>> options; // per participant
+    scratch.bind(*cm_);
+    std::vector<std::pair<ProcessId, int>>& options = scratch.move_options;
+    std::vector<std::size_t>& ends = scratch.option_ends; // per participant
+    options.clear();
+    ends.clear();
+    const auto close_participant = [&] {
+        if (options.size() > (ends.empty() ? 0 : ends.back())) ends.push_back(options.size());
+    };
     switch (c.kind) {
     case Candidate::Kind::Tau:
-        options.push_back({{c.process, c.transition}});
+        options.emplace_back(c.process, c.transition);
+        close_participant();
         break;
     case Candidate::Kind::BroadcastSend: {
-        options.push_back({{c.process, c.transition}});
+        options.emplace_back(c.process, c.transition);
+        close_participant();
         const InstProcess& sender = model_->processes[static_cast<std::size_t>(c.process)];
         const ChannelId ch =
             sender.transitions[static_cast<std::size_t>(c.transition)].channel;
         for (const ProcessId peer : sender.propagation_peers) {
             const InstProcess& proc = model_->processes[static_cast<std::size_t>(peer)];
             if (!s.instance_active(static_cast<std::size_t>(proc.instance))) continue;
-            std::vector<std::pair<ProcessId, int>> mine;
             for (const int t : outgoing(s, peer)) {
                 const InstTransition& tr = proc.transitions[static_cast<std::size_t>(t)];
                 if (tr.channel == ch && tr.role == slim::PortDir::In &&
                     enabled_now(s, peer, t, scratch)) {
-                    mine.emplace_back(peer, t);
+                    options.emplace_back(peer, t);
                 }
             }
-            if (!mine.empty()) options.push_back(std::move(mine));
+            close_participant(); // a peer with no ready receiver adds none
         }
         break;
     }
@@ -536,35 +546,43 @@ Network::resolve_moves(const NetworkState& s, const Candidate& c, SimScratch& sc
         for (const ProcessId pid : def.participants) {
             const InstProcess& proc = model_->processes[static_cast<std::size_t>(pid)];
             if (!s.instance_active(static_cast<std::size_t>(proc.instance))) continue;
-            std::vector<std::pair<ProcessId, int>> mine;
+            const std::size_t before = options.size();
             for (const int t : outgoing(s, pid)) {
                 const InstTransition& tr = proc.transitions[static_cast<std::size_t>(t)];
                 if (tr.action == c.action && tr.trigger == TriggerClass::Normal &&
                     enabled_now(s, pid, t, scratch)) {
-                    mine.emplace_back(pid, t);
+                    options.emplace_back(pid, t);
                 }
             }
-            SLIMSIM_ASSERT(!mine.empty());
-            options.push_back(std::move(mine));
+            SLIMSIM_ASSERT(options.size() > before);
+            close_participant();
         }
         break;
     }
     }
-    std::vector<ResolvedMove> moves;
-    moves.push_back({{}, 1.0});
-    for (const auto& opts : options) {
-        std::vector<ResolvedMove> next;
-        next.reserve(moves.size() * opts.size());
-        const double w = 1.0 / static_cast<double>(opts.size());
-        for (const auto& m : moves) {
-            for (const auto& o : opts) {
-                ResolvedMove nm = m;
-                nm.firing.push_back(o);
-                nm.probability *= w;
-                next.push_back(std::move(nm));
-            }
+
+    // The joint moves are the product of the participants' sub-choices, the
+    // last participant varying fastest. Every move weighs the product of the
+    // participants' 1/|choices|, multiplied in participant order.
+    const std::size_t width = ends.size();
+    const auto choices = [&](std::size_t k) { return ends[k] - (k == 0 ? 0 : ends[k - 1]); };
+    std::size_t count = 1;
+    double probability = 1.0;
+    for (std::size_t k = 0; k < width; ++k) {
+        count *= choices(k);
+        probability *= 1.0 / static_cast<double>(choices(k));
+    }
+    std::vector<std::pair<ProcessId, int>>& firings = scratch.move_firings;
+    firings.resize(count * width);
+    std::vector<ResolvedMove>& moves = scratch.moves;
+    moves.resize(count);
+    for (std::size_t m = 0; m < count; ++m) {
+        std::size_t rest = m;
+        for (std::size_t k = width; k-- > 0;) {
+            firings[m * width + k] = options[ends[k] - choices(k) + rest % choices(k)];
+            rest /= choices(k);
         }
-        moves = std::move(next);
+        moves[m] = {std::span(firings).subspan(m * width, width), probability};
     }
     return moves;
 }

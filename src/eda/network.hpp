@@ -27,9 +27,12 @@ using slim::ProcessId;
 /// The transitions a discrete step fired, as (process, transition idx) in
 /// firing order: the main step's firing set, then any activation cascade.
 /// `fired` is a view into the caller's SimScratch (`SimScratch::fired`),
-/// valid until that scratch's next firing.
+/// valid until that scratch's next firing. `config` is the successor's
+/// configuration id in the scratch's interner (StateInterner::intern_id),
+/// taken from the settle that ended the step.
 struct StepInfo {
     std::span<const std::pair<ProcessId, int>> fired;
+    std::uint32_t config = 0;
 };
 
 /// Stable flat numbering of the instantiated network's elements, for
@@ -169,19 +172,15 @@ public:
     StepInfo execute_markovian(NetworkState& s, ProcessId process, Rng& rng,
                                SimScratch& scratch) const;
 
-    /// Enumerates every joint discrete move with its probability weight
-    /// (used by the exhaustive state-space builder; uniform resolution of
-    /// sub-choices). Each element is (firing set, weight); weights of a
-    /// candidate sum to 1.
-    struct ResolvedMove {
-        std::vector<std::pair<ProcessId, int>> firing;
-        double probability = 1.0;
-    };
-    [[nodiscard]] std::vector<ResolvedMove>
+    /// Enumerates every joint discrete move of `c` with its probability
+    /// weight (used by the exhaustive state-space builder; uniform resolution
+    /// of sub-choices); weights of a candidate sum to 1. The moves and their
+    /// firing sets are views into the scratch (`SimScratch::moves`,
+    /// `::move_firings`), valid until the next resolve_moves call on it.
+    [[nodiscard]] std::span<const ResolvedMove>
     resolve_moves(const NetworkState& s, const Candidate& c, SimScratch& scratch) const;
     /// Applies one resolved firing set (state-space builder path).
-    StepInfo apply_firing(NetworkState& s,
-                          const std::vector<std::pair<ProcessId, int>>& firing,
+    StepInfo apply_firing(NetworkState& s, std::span<const std::pair<ProcessId, int>> firing,
                           SimScratch& scratch) const;
 
     // --- queries ---------------------------------------------------------------
@@ -205,7 +204,8 @@ private:
     void fire_trigger_class(NetworkState& s, std::size_t instance, slim::TriggerClass tc,
                             SimScratch& scratch) const;
     /// Inject / flow / inject after the locations and activation are final.
-    void settle(NetworkState& s, SimScratch& scratch) const;
+    /// Returns the interner id of s's configuration.
+    std::uint32_t settle(NetworkState& s, SimScratch& scratch) const;
     void fire_one(NetworkState& s, ProcessId p, int t, SimScratch& scratch) const;
     [[nodiscard]] IntervalSet guard_times(const NetworkState& s,
                                           std::span<const double> rates, ProcessId p,

@@ -1,10 +1,17 @@
 // Shared non-cryptographic hashing: murmur3 finalization and streaming
 // combining.
 //
-// Used for hash-consing keys (expr/compile, eda/compiled), discrete-state
-// interning (eda/state) and compiled-model content hashes. All functions are
-// deterministic across processes and platforms (no pointer or ASLR input),
-// which the checkpoint/resume model-hash check relies on.
+// Two families:
+//   * hash_mix / hash_words (two murmur3 finalizations per word) key
+//     expression hash-consing and compiled-model content hashes. Content
+//     hashes are the checkpoint/resume model identity, so these must never
+//     change output.
+//   * state_mix / state_hash_bytes / state_hash_finish (one 64x64->128
+//     multiply-fold per word, one finalization at the end) key the in-memory
+//     state tables: the discrete-state interner (eda/compiled) and the
+//     exhaustive explorer (ctmc/state_space). Nothing stores or orders by
+//     them, so they may change freely.
+// All are deterministic functions of their input words.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +45,40 @@ namespace slimsim {
     std::uint64_t h = seed;
     for (std::size_t i = 0; i < count; ++i) h = hash_mix(h, words[i]);
     return hash_mix(h, count);
+}
+
+/// 64x64->128-bit product folded to 64 bits (high xor low half).
+[[nodiscard]] constexpr std::uint64_t mul_fold(std::uint64_t a, std::uint64_t b) {
+    const unsigned __int128 p = static_cast<unsigned __int128>(a) * b;
+    return static_cast<std::uint64_t>(p) ^ static_cast<std::uint64_t>(p >> 64);
+}
+
+/// State-key combiner: one multiply-fold per word. Not a bijection and not
+/// avalanched; close a stream with state_hash_finish.
+[[nodiscard]] constexpr std::uint64_t state_mix(std::uint64_t h, std::uint64_t word) {
+    return mul_fold(word ^ 0xA0761D6478BD642FULL, h ^ 0xE7037ED1A0B428DBULL);
+}
+
+/// Finalizes a state-key stream of `count` words (or bytes) with one
+/// murmur3 finalization, so every output bit depends on every input word.
+[[nodiscard]] constexpr std::uint64_t state_hash_finish(std::uint64_t h, std::uint64_t count) {
+    return murmur3_fmix64(h ^ count);
+}
+
+/// Streams n bytes into a state-key hash, eight at a time (the last word
+/// zero-padded).
+[[nodiscard]] inline std::uint64_t state_hash_bytes(std::uint64_t h, const void* data,
+                                                    std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (; n >= 8; p += 8, n -= 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, p, 8);
+        h = state_mix(h, word);
+    }
+    if (n == 0) return h;
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, p, n);
+    return state_mix(h, tail);
 }
 
 /// The raw bit pattern of a double as a hashable word (distinguishes +0/-0

@@ -513,6 +513,7 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
         so.base_runs = request.splitting.base_runs;
         so.max_total_paths = request.splitting.max_total_paths;
         so.pilot_runs = request.splitting.pilot_runs;
+        so.delta = request.delta;
         so.workers = report.workers;
         so.sim = sim_options;
         const auto t0 = std::chrono::steady_clock::now();

@@ -110,7 +110,10 @@ Imc build_state_space(const eda::Network& net, const expr::Expr& goal,
     FlatIndex index;
     // Discovered but unprocessed states, in id order (breadth-first). A
     // deque keeps references to its elements valid under push_back.
+    // Processed states go to `spare`, whose buffers the next discovered
+    // states reuse.
     std::deque<eda::NetworkState> frontier;
+    std::vector<eda::NetworkState> spare;
     eda::SimScratch scratch;
     Imc imc;
 
@@ -134,7 +137,13 @@ Imc build_state_space(const eda::Network& net, const expr::Expr& goal,
         hashes.push_back(h);
         index.insert(h, id, [&](std::uint32_t i) { return hashes[i]; });
         imc.states.emplace_back();
-        frontier.push_back(s);
+        if (spare.empty()) {
+            frontier.push_back(s);
+        } else {
+            frontier.push_back(std::move(spare.back()));
+            spare.pop_back();
+            frontier.back() = s;
+        }
         return id;
     };
 
@@ -144,8 +153,14 @@ Imc build_state_space(const eda::Network& net, const expr::Expr& goal,
     const expr::ProgramPtr goal_program = expr::compile(goal, {});
     std::vector<eda::Candidate> cands;
     eda::NetworkState succ; // successor buffer; copied into the frontier only when new
+    // A state's transitions, collected here and copied out once.
+    std::vector<std::pair<StateId, double>> edges;
+    const auto retire = [&] {
+        spare.push_back(std::move(frontier.front()));
+        frontier.pop_front();
+    };
     std::size_t transition_count = 0;
-    for (StateId id = 0; id < imc.states.size(); ++id, frontier.pop_front()) {
+    for (StateId id = 0; id < imc.states.size(); ++id, retire()) {
         const eda::NetworkState& s = frontier.front(); // state `id`
         ImcState st;
         if (goal_program->run_bool(s.values, scratch.eval)) {
@@ -155,6 +170,7 @@ Imc build_state_space(const eda::Network& net, const expr::Expr& goal,
         }
         const auto enabled = net.candidates(s, kInf, scratch);
         cands.assign(enabled.begin(), enabled.end());
+        edges.clear();
         if (!cands.empty()) {
             // Maximal progress: immediate steps preempt Markovian ones;
             // the candidate and its sub-choices are resolved equiprobably.
@@ -165,7 +181,7 @@ Imc build_state_space(const eda::Network& net, const expr::Expr& goal,
                     succ = s;
                     const std::uint32_t config =
                         net.apply_firing(succ, move.firing, scratch).config;
-                    st.immediate.emplace_back(intern(succ, config), cand_prob * move.probability);
+                    edges.emplace_back(intern(succ, config), cand_prob * move.probability);
                 }
             }
         } else {
@@ -178,11 +194,12 @@ Imc build_state_space(const eda::Network& net, const expr::Expr& goal,
                     const std::pair<eda::ProcessId, int> firing{m.process, t};
                     const std::uint32_t config =
                         net.apply_firing(succ, std::span(&firing, 1), scratch).config;
-                    st.markovian.emplace_back(intern(succ, config), rate);
+                    edges.emplace_back(intern(succ, config), rate);
                 }
             }
         }
-        transition_count += st.immediate.size() + st.markovian.size();
+        (st.vanishing ? st.immediate : st.markovian).assign(edges.begin(), edges.end());
+        transition_count += edges.size();
         imc.states[id] = std::move(st);
     }
 

@@ -741,7 +741,7 @@ SplittingResult estimate_splitting(const eda::Network& net,
     result.goal_hits = merge.goal_hits;
     result.max_level_seen = merge.max_level;
     result.variance_per_root = merge.roots.variance();
-    const double half_width = merge.roots.half_width(0.05);
+    const double half_width = merge.roots.half_width(options.delta);
     result.relative_half_width =
         result.estimate > 0.0 ? half_width / result.estimate : 0.0;
     result.levels.reserve(merge.levels.size());

@@ -49,6 +49,9 @@ struct SplittingOptions {
     /// Crude pilot paths used by automatic level placement (LevelSpec::
     /// auto_levels); drawn from a stream family disjoint from the roots.
     std::size_t pilot_runs = 256;
+    /// 1 - confidence of the reported CLT half-width (relative_half_width,
+    /// the run status's achieved half-width).
+    double delta = 0.05;
     /// Run hardening rides in sim.control; sim.metrics enables live
     /// splitting instruments. Checkpoint/resume is not supported.
     sim::SimOptions sim;
@@ -70,7 +73,8 @@ struct SplittingResult {
     /// Sample variance of the per-root weighted contributions (root order);
     /// the paths-to-convergence currency of bench_rare's speedup_vs_crude.
     double variance_per_root = 0.0;
-    /// 95% CLT half-width relative to the estimate (0 when the estimate is).
+    /// CLT half-width at confidence 1 - SplittingOptions::delta, relative
+    /// to the estimate (0 when the estimate is).
     double relative_half_width = 0.0;
     std::vector<LevelStats> levels; // ascending by level
     /// Auto placement only: the raw values promoted to splitting levels and

@@ -624,6 +624,30 @@ TEST_F(AnalysisApiTest, SplittingReportByteIdenticalAcrossWorkerCounts) {
     }
 }
 
+TEST_F(AnalysisApiTest, SplittingHalfWidthFollowsTheRequestedDelta) {
+    // The reported half-width is the CLT one at confidence 1 - delta: on the
+    // same seed a smaller delta widens it by the ratio of the normal
+    // quantiles, and the estimate itself does not move.
+    AnalysisRequest req = base_request();
+    req.mode = AnalysisMode::EstimateSplitting;
+    req.splitting.level = "(if broken then 1 else 0)";
+    req.splitting.factor = 2;
+    req.splitting.base_runs = 2048;
+    req.delta = 0.05;
+    const AnalysisResult at_05 = run_analysis(net, req);
+    req.delta = 0.001;
+    const AnalysisResult at_001 = run_analysis(net, req);
+    EXPECT_EQ(at_001.value, at_05.value);
+    EXPECT_EQ(at_001.splitting.total_paths, at_05.splitting.total_paths);
+    ASSERT_GT(at_05.splitting.relative_half_width, 0.0);
+    EXPECT_NEAR(at_001.splitting.relative_half_width / at_05.splitting.relative_half_width,
+                3.2905 / 1.9600, 1e-3);
+    EXPECT_GT(at_001.report.run_status.achieved_half_width,
+              at_05.report.run_status.achieved_half_width);
+    EXPECT_EQ(at_001.report.splitting.relative_half_width,
+              at_001.splitting.relative_half_width);
+}
+
 TEST_F(AnalysisApiTest, SplittingAutoPlacementFillsPilotCoverage) {
     AnalysisRequest req = base_request();
     req.mode = AnalysisMode::EstimateSplitting;

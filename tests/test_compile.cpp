@@ -10,6 +10,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <tuple>
 
 #include "api/analysis.hpp"
@@ -712,6 +713,98 @@ TEST(StateInterner, MatchesRecomputationAlongPathsAndKeepsEntriesStable) {
         ASSERT_GE(scratch.interner.size(), 33u);
         for (const auto& [cfg, view] : early) expect_same_config(view_of(*cfg), view);
     }
+}
+
+/// Asserts that configurations whose list (as `key_of` copies it out) is
+/// equal point at one copy of it, and that some configurations do share.
+template <class KeyOf>
+void expect_one_copy(const eda::StateInterner& interner, const char* name, KeyOf key_of) {
+    SCOPED_TRACE(name);
+    std::map<decltype(key_of(interner.config(0)).first), const void*> owner;
+    std::size_t nonempty = 0;
+    for (std::uint32_t id = 0; id < interner.size(); ++id) {
+        const auto [key, data] = key_of(interner.config(id));
+        if (key.empty()) continue;
+        ++nonempty;
+        const auto [it, first] = owner.emplace(key, data);
+        if (!first) {
+            ASSERT_EQ(data, it->second) << "config " << id;
+        }
+    }
+    if (nonempty > 0) {
+        EXPECT_LT(owner.size(), nonempty) << "no list is shared";
+    }
+}
+
+TEST(StateInterner, EqualListsShareOneCopyAndEarlyEntriesStayPut) {
+    // Sensor/filter R = 6 under ASAP reaches 10,000 configurations within
+    // ~17k paths (R = 5 has only 2,945 in all).
+    const eda::Network net(compile_source(models::sensor_filter_source(6), "sf6.slim"));
+    const auto prop =
+        sim::make_reachability(net.model(), models::sensor_filter_goal(), 100.0 * 3600.0);
+    const auto strategy = sim::make_strategy(sim::StrategyKind::Asap);
+    const sim::PathGenerator gen(net, prop, *strategy);
+
+    eda::SimScratch scratch;
+    scratch.bind(*net.compiled());
+    // The first four configurations and their list addresses, copied out
+    // when first interned.
+    struct Early {
+        std::uint32_t id;
+        ConfigView view;
+        std::array<const void*, 6> data;
+    };
+    const auto data_of = [](const eda::InternedConfig& c) {
+        return std::array<const void*, 6>{c.rates.data(),      c.markov.data(),
+                                          c.taus.data(),       c.invariants.data(),
+                                          c.flows.data(),      c.injections.data()};
+    };
+    std::vector<Early> early;
+    Rng rng(3);
+    for (int path = 0; path < 100'000 && scratch.interner.size() < 10'000; ++path) {
+        eda::NetworkState s = gen.initial_state();
+        std::size_t steps = 0;
+        for (bool done = false; !done;) {
+            const std::size_t known = scratch.interner.size();
+            const std::uint32_t id = scratch.interner.intern_id(s, *net.compiled());
+            const eda::InternedConfig& cfg = scratch.interner.config(id);
+            if (scratch.interner.size() > known) {
+                ASSERT_EQ(id, known); // ids follow first sight
+                if (early.size() < 4) early.push_back({id, view_of(cfg), data_of(cfg)});
+            }
+            done = gen.step(s, rng, steps).has_value();
+        }
+    }
+    ASSERT_GE(scratch.interner.size(), 10'000u);
+    ASSERT_EQ(early.size(), 4u);
+    for (const Early& e : early) {
+        SCOPED_TRACE("early config " + std::to_string(e.id));
+        const eda::InternedConfig& cfg = scratch.interner.config(e.id);
+        expect_same_config(view_of(cfg), e.view);
+        EXPECT_EQ(data_of(cfg), e.data);
+    }
+
+    const auto with = [](const auto& list, const auto& key) {
+        return std::pair(key, static_cast<const void*>(list.data()));
+    };
+    expect_one_copy(scratch.interner, "rates", [&](const eda::InternedConfig& c) {
+        return with(c.rates, view_of(c).rates);
+    });
+    expect_one_copy(scratch.interner, "markov", [&](const eda::InternedConfig& c) {
+        return with(c.markov, view_of(c).markov);
+    });
+    expect_one_copy(scratch.interner, "taus", [&](const eda::InternedConfig& c) {
+        return with(c.taus, view_of(c).taus);
+    });
+    expect_one_copy(scratch.interner, "invariants", [&](const eda::InternedConfig& c) {
+        return with(c.invariants, view_of(c).invariants);
+    });
+    expect_one_copy(scratch.interner, "flows", [&](const eda::InternedConfig& c) {
+        return with(c.flows, view_of(c).flows);
+    });
+    expect_one_copy(scratch.interner, "injections", [&](const eda::InternedConfig& c) {
+        return with(c.injections, view_of(c).injections);
+    });
 }
 
 TEST(StateInterner, FlowListFollowsActivation) {

@@ -2,6 +2,7 @@
 
 #include <span>
 
+#include "ctmc/accumulator.hpp"
 #include "support/diagnostics.hpp"
 #include "support/flat_index.hpp"
 #include "support/hash.hpp"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ctmc/accumulator.hpp"
 #include "support/diagnostics.hpp"
 
 namespace slimsim::ctmc {

@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "ctmc/accumulator.hpp"
 #include "support/diagnostics.hpp"
 
 namespace slimsim::ctmc {

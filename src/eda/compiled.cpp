@@ -467,11 +467,11 @@ void StateInterner::clear() {
     arena_.clear();
     std::vector<const Entry*>().swap(entries_);
     index_.clear();
-    rates_pool_.clear();
-    markov_pool_.clear();
-    taus_pool_.clear();
-    invariants_pool_.clear();
-    indices_pool_.clear();
+    rates_pool_ = {};
+    markov_pool_ = {};
+    taus_pool_ = {};
+    invariants_pool_ = {};
+    indices_pool_ = {};
     last_ = kNone;
     prev_ = kNone;
 }

@@ -274,12 +274,6 @@ private:
         std::vector<std::span<const T>> lists;
         std::vector<std::uint64_t> hashes;
         FlatIndex index;
-
-        void clear() {
-            std::vector<std::span<const T>>().swap(lists);
-            std::vector<std::uint64_t>().swap(hashes);
-            index.clear();
-        }
     };
 
     [[nodiscard]] bool same_key(const Entry& e, const NetworkState& s) const;

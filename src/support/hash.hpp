@@ -47,16 +47,13 @@ namespace slimsim {
     return hash_mix(h, count);
 }
 
-/// 64x64->128-bit product folded to 64 bits (high xor low half).
-[[nodiscard]] constexpr std::uint64_t mul_fold(std::uint64_t a, std::uint64_t b) {
-    const unsigned __int128 p = static_cast<unsigned __int128>(a) * b;
-    return static_cast<std::uint64_t>(p) ^ static_cast<std::uint64_t>(p >> 64);
-}
-
-/// State-key combiner: one multiply-fold per word. Not a bijection and not
-/// avalanched; close a stream with state_hash_finish.
+/// State-key combiner: one 64x64->128-bit multiply per word, folded to 64
+/// bits (high xor low half). Not a bijection and not avalanched; close a
+/// stream with state_hash_finish.
 [[nodiscard]] constexpr std::uint64_t state_mix(std::uint64_t h, std::uint64_t word) {
-    return mul_fold(word ^ 0xA0761D6478BD642FULL, h ^ 0xE7037ED1A0B428DBULL);
+    const unsigned __int128 p = static_cast<unsigned __int128>(word ^ 0xA0761D6478BD642FULL) *
+                                (h ^ 0xE7037ED1A0B428DBULL);
+    return static_cast<std::uint64_t>(p) ^ static_cast<std::uint64_t>(p >> 64);
 }
 
 /// Finalizes a state-key stream of `count` words (or bytes) with one

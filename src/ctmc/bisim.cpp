@@ -1,55 +1,25 @@
 #include "ctmc/bisim.hpp"
 
-#include <span>
+#include <map>
 
 #include "ctmc/accumulator.hpp"
 #include "support/diagnostics.hpp"
-#include "support/flat_index.hpp"
-#include "support/hash.hpp"
 
 namespace slimsim::ctmc {
 
 namespace {
 
-/// The distinct refinement signatures of one round, numbered in order of
-/// first appearance. A state's signature is its current block plus its total
-/// rate into every block (ascending block, merged); signatures are equal
-/// when the blocks agree and the rates compare equal.
-class SignatureTable {
-public:
-    /// Number of the signature (own, rates), added on first sight.
-    StateId number(StateId own, std::span<const std::pair<StateId, double>> rates) {
-        std::uint64_t h = state_mix(0x516E5167ULL, own);
-        for (const auto& [b, r] : rates) {
-            // `+ 0.0` merges -0.0 with +0.0, which compare equal.
-            h = state_mix(state_mix(h, b), double_bits(r + 0.0));
-        }
-        h = state_hash_finish(h, rates.size());
-        const auto same = [&](std::uint32_t i) {
-            const Entry& e = entries_[i];
-            return e.hash == h && e.own == own && e.size == rates.size() &&
-                   std::equal(rates.begin(), rates.end(), rates_.begin() + e.begin);
-        };
-        const std::uint32_t found = index_.find(h, same);
-        if (found != FlatIndex::kNone) return found;
-        const auto id = static_cast<StateId>(entries_.size());
-        entries_.push_back({h, own, rates_.size(), rates.size()});
-        rates_.insert(rates_.end(), rates.begin(), rates.end());
-        index_.insert(h, id, [&](std::uint32_t i) { return entries_[i].hash; });
-        return id;
-    }
-    [[nodiscard]] StateId size() const { return static_cast<StateId>(entries_.size()); }
+/// A state's refinement signature: its current block plus its total rate
+/// into every block (sorted, merged).
+struct Signature {
+    StateId own_block = 0;
+    std::vector<std::pair<StateId, double>> rates;
 
-private:
-    struct Entry {
-        std::uint64_t hash;
-        StateId own;
-        std::size_t begin; // into rates_
-        std::size_t size;
-    };
-    std::vector<Entry> entries_;
-    std::vector<std::pair<StateId, double>> rates_;
-    FlatIndex index_;
+    friend bool operator==(const Signature&, const Signature&) = default;
+    friend bool operator<(const Signature& a, const Signature& b) {
+        if (a.own_block != b.own_block) return a.own_block < b.own_block;
+        return a.rates < b.rates;
+    }
 };
 
 } // namespace
@@ -67,20 +37,26 @@ LumpResult lump(const CtmcModel& m) {
     }
 
     Accumulator acc(n);
-    std::vector<std::pair<StateId, double>> rates;
-    std::vector<StateId> next(n);
     for (;;) {
         ++res.iterations;
-        SignatureTable signatures;
+        // Blocks are numbered in order of first appearance.
+        std::map<Signature, StateId> sig_block;
+        std::vector<StateId> next(n);
+        Signature sig;
         for (StateId s = 0; s < n; ++s) {
+            sig.own_block = res.block_of[s];
+            sig.rates.clear();
             for (const auto& [t, r] : m.transitions[s]) acc.add(res.block_of[t], r);
-            rates.clear();
-            acc.drain([&](StateId b, double r) { rates.emplace_back(b, r); });
-            next[s] = signatures.number(res.block_of[s], rates);
+            acc.drain([&](StateId b, double r) { sig.rates.emplace_back(b, r); });
+            const auto it = sig_block.find(sig);
+            next[s] = it != sig_block.end()
+                          ? it->second
+                          : sig_block.emplace(sig, static_cast<StateId>(sig_block.size()))
+                                .first->second;
         }
-        const StateId new_count = signatures.size();
+        const auto new_count = static_cast<StateId>(sig_block.size());
         const bool stable = new_count == res.block_count;
-        res.block_of.swap(next);
+        res.block_of = std::move(next);
         res.block_count = new_count;
         if (stable) return res;
     }

@@ -19,10 +19,11 @@ Three relations are checked on top of the pinned values:
   * no-telemetry: the cell rerun with --no-telemetry must give the same
     report as the plain cell once `counters` and `histograms` (the only
     sections telemetry decides) are dropped from both;
-  * splitting memory: failover splitting at 3 workers must not grow its
-    peak RSS by more than RSS_GROWTH_LIMIT from SPLIT_RSS_ROOTS[0] to
-    SPLIT_RSS_ROOTS[1] root trees (workers hand trees over through a
-    bounded window, so memory is flat in the root count).
+  * memory: no run may grow its peak RSS by more than RSS_GROWTH_LIMIT
+    from RSS_SIZES[0] to RSS_SIZES[1] paths (rss_rows): failover splitting
+    at 3 workers over root trees (workers hand trees over through a bounded
+    window), and GPS scalar, curve and SPRT runs at 1 and 3 workers over
+    budget-capped samples (the consumer keeps only summaries).
 
 Usage: contract_matrix.py [--bin PATH] [--update]
 Without --update every cell is run and compared against the matrix file;
@@ -62,7 +63,7 @@ ESTIMATION_MODES = {
     'split': ['--split-auto', '--split-factor', '4', '--split-pilot', '128'],
 }
 SEED = ['--seed', '7']
-SPLIT_RSS_ROOTS = (20_000, 160_000)
+RSS_SIZES = (20_000, 160_000)
 RSS_GROWTH_LIMIT = 1.5
 
 
@@ -99,6 +100,29 @@ def cells():
     # count exactly: the last round of per-worker streams ends early.
     out['markov/budget/w3'] = (MARKOV + ESTIMATION_MODES['scalar'] +
                                ['--max-samples', '50', '--workers', '3'] + SEED)
+    # Cross-option rejections: each pair exits 1 with one pinned error line,
+    # wherever the check lives (CLI, run_analysis or the engine).
+    gps = MODELS['gps'] + ESTIMATION_MODES['scalar'] + SEED
+    split = MODELS['failover'] + ESTIMATION_MODES['split'] + SEED
+    rejections = {
+        'processes-coverage': gps + ['--processes', '3', '--coverage'],
+        'processes-witness': gps + ['--processes', '3', '--witness', '{tmp}/witness'],
+        'processes-trace': gps + ['--processes', '3', '--trace', '{tmp}/run.trace'],
+        'processes-ctmc': MARKOV + ['--ctmc', '--processes', '3'],
+        'processes-split': split + ['--processes', '3'],
+        'resume-coverage': gps + ['--resume', '{tmp}/none.ckpt', '--coverage'],
+        'resume-witness': gps + ['--resume', '{tmp}/none.ckpt', '--witness', '{tmp}/witness'],
+        'curve-witness': (MODELS['gps'] + ESTIMATION_MODES['curve'] + SEED +
+                          ['--witness', '{tmp}/witness']),
+        'split-witness': split + ['--witness', '{tmp}/witness'],
+        'split-curve': split + ['--curve-grid', '8'],
+        'split-checkpoint': split + ['--checkpoint', '{tmp}/run.ckpt'],
+        'split-coverage': split + ['--coverage'],
+        'ctmc-coverage': MARKOV + ['--ctmc', '--coverage'],
+        'ctmc-budget': MARKOV + ['--ctmc', '--max-samples', '100'],
+    }
+    for pair, args in rejections.items():
+        out[f'reject/{pair}'] = args
     return out
 
 
@@ -176,26 +200,61 @@ def evaluate(binary, name, args):
     return pinned, errors
 
 
-def split_rss_errors(binary):
-    """Checks that splitting's peak RSS stays flat in the root count."""
-    rss = []
-    for roots in SPLIT_RSS_ROOTS:
-        args = (MODELS['failover'] + ESTIMATION_MODES['split'] +
-                ['--split-roots', str(roots), '--workers', '3'] + SEED)
-        with tempfile.TemporaryDirectory(prefix='slimsim-matrix-') as tmp:
-            report = pathlib.Path(tmp) / 'report.json'
-            proc = subprocess.run([binary] + args + ['--json', str(report)], cwd=ROOT,
-                                  capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-            if proc.returncode != 0:
-                return [f'split-rss: {roots} roots exited {proc.returncode}: {proc.stderr}']
-            rss.append(json.loads(report.read_text())['resources']['peak_rss_bytes'])
-    growth = rss[1] / rss[0]
-    print(f'split-rss: peak RSS {rss[0] / 2**20:.1f} MiB at {SPLIT_RSS_ROOTS[0]} roots, '
-          f'{rss[1] / 2**20:.1f} MiB at {SPLIT_RSS_ROOTS[1]} ({growth:.2f}x)')
-    if growth > RSS_GROWTH_LIMIT:
-        return [f'split-rss: peak RSS grew {growth:.2f}x from {SPLIT_RSS_ROOTS[0]} to '
-                f'{SPLIT_RSS_ROOTS[1]} roots (limit {RSS_GROWTH_LIMIT}x)']
-    return []
+def rss_rows():
+    """Peak-RSS rows: name -> (args without the size, size flag, exit code).
+
+    Each row runs at RSS_SIZES[0] and RSS_SIZES[1] paths (root trees for
+    splitting). Scalar, curve and SPRT runs must be stopped by the sample
+    budget, at exactly that many samples: their eps is far below what 8N
+    samples reach, and the SPRT threshold sits on GPS's p (~0.9977) with an
+    indifference region no budget here resolves, so it ends undecided
+    (exit 3).
+    """
+    gps = {
+        'scalar': ['--eps', '0.001'],
+        'curve': ['--eps', '0.001', '--curve-grid', '8'],
+        'sprt': ['--test', '0.9977', '--indifference', '0.00001'],
+    }
+    rows = {'failover/split/w3': (MODELS['failover'] + ESTIMATION_MODES['split'] +
+                                  ['--workers', '3'] + SEED, '--split-roots', 0)}
+    for mode, extra in gps.items():
+        for workers in (1, 3):
+            rows[f'gps/{mode}/w{workers}'] = (
+                MODELS['gps'] + extra + ['--workers', str(workers)] + SEED,
+                '--max-samples', 3 if mode == 'sprt' else 0)
+    return rows
+
+
+def rss_errors(binary):
+    """Checks that peak RSS stays flat in the run length for every row."""
+    errors = []
+    for name, (args, size_flag, want_exit) in rss_rows().items():
+        rss = []
+        for size in RSS_SIZES:
+            with tempfile.TemporaryDirectory(prefix='slimsim-matrix-') as tmp:
+                report = pathlib.Path(tmp) / 'report.json'
+                argv = [binary] + args + [size_flag, str(size), '--json', str(report)]
+                proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True,
+                                      timeout=RUN_TIMEOUT_S)
+                if proc.returncode != want_exit:
+                    errors.append(f'rss {name}: {size} exited {proc.returncode}: '
+                                  f'{proc.stderr}')
+                    break
+                doc = json.loads(report.read_text())
+                if size_flag == '--max-samples' and doc['result']['samples'] != size:
+                    errors.append(f'rss {name}: stopped at {doc["result"]["samples"]} '
+                                  f'samples, not at the {size} budget')
+                    break
+                rss.append(doc['resources']['peak_rss_bytes'])
+        if len(rss) < len(RSS_SIZES):
+            continue
+        growth = rss[1] / rss[0]
+        print(f'rss {name}: peak RSS {rss[0] / 2**20:.1f} MiB at {RSS_SIZES[0]}, '
+              f'{rss[1] / 2**20:.1f} MiB at {RSS_SIZES[1]} ({growth:.2f}x)')
+        if growth > RSS_GROWTH_LIMIT:
+            errors.append(f'rss {name}: peak RSS grew {growth:.2f}x from {RSS_SIZES[0]} '
+                          f'to {RSS_SIZES[1]} (limit {RSS_GROWTH_LIMIT}x)')
+    return errors
 
 
 def main():
@@ -214,7 +273,7 @@ def main():
         futures = {n: pool.submit(evaluate, binary, n, a) for n, a in cells().items()}
         results = {n: f.result() for n, f in futures.items()}
 
-    failures = split_rss_errors(binary)
+    failures = rss_errors(binary)
     for name in sorted(results):
         values, errors = results[name]
         failures.extend(errors)

@@ -233,22 +233,23 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
     }
 
     if (request.coverage && !consumer_mode) {
-        throw Error("coverage profiling is only available in the estimation and "
-                    "hypothesis-test modes");
+        throw Error("--coverage is an estimation-mode option (not --ctmc / --split; "
+                    "--split-auto fills the report's coverage section from the "
+                    "pilot run)");
     }
     if (request.supervision.processes > 0) {
         if (!consumer_mode) {
-            throw Error("process-isolated supervision (--processes) is only "
-                        "available in the estimation and hypothesis-test modes");
+            throw Error("--processes is an estimation-mode option (not --ctmc / "
+                        "--split)");
         }
         if (request.coverage) {
-            throw Error("--processes cannot be combined with coverage profiling");
+            throw Error("--processes cannot be combined with --coverage");
         }
         if (request.witness.per_kind > 0) {
-            throw Error("--processes cannot be combined with witness capture");
+            throw Error("--processes cannot be combined with --witness");
         }
         if (request.tracer != nullptr && request.tracer->enabled()) {
-            throw Error("--processes cannot be combined with execution tracing");
+            throw Error("--processes cannot be combined with --trace");
         }
     }
     const sim::RunControlOptions& control = request.sim.control;

@@ -671,16 +671,10 @@ int run(int argc, char** argv) {
     if (splitting_mode && (use_ctmc || test_threshold >= 0.0)) {
         throw Error("--split is an estimation mode (not --ctmc / --test)");
     }
-    if (splitting_mode && !witness_dir.empty()) {
-        throw Error("--split cannot be combined with witness capture");
-    }
 
     if (!req.curve_bounds.empty()) {
         if (use_ctmc || test_threshold >= 0.0) {
             throw Error("--curve is an estimation mode (not --ctmc / --test)");
-        }
-        if (splitting_mode) {
-            throw Error("--split cannot be combined with curve estimation");
         }
         if (curve_band_name == "bonferroni") {
             req.curve_band = stat::BandKind::Bonferroni;
@@ -692,11 +686,6 @@ int run(int argc, char** argv) {
         throw Error("--curve-csv needs --curve or --curve-grid");
     }
 
-    if (coverage && (use_ctmc || splitting_mode)) {
-        throw Error("--coverage is an estimation-mode option (not --ctmc / --split; "
-                    "--split-auto fills the report's coverage section from the "
-                    "pilot run)");
-    }
     req.coverage = coverage;
 
     // Process-isolated supervision (docs/supervision.md).
@@ -706,17 +695,6 @@ int run(int argc, char** argv) {
                     "--processes N");
     }
     if (processes > 0) {
-        if (use_ctmc || splitting_mode) {
-            throw Error("--processes is an estimation-mode option (not --ctmc / "
-                        "--split)");
-        }
-        if (coverage) throw Error("--processes cannot be combined with --coverage");
-        if (!witness_dir.empty()) {
-            throw Error("--processes cannot be combined with --witness");
-        }
-        if (!trace_path.empty()) {
-            throw Error("--processes cannot be combined with --trace");
-        }
         req.supervision.processes = processes;
         req.supervision.worker_timeout_seconds = worker_timeout;
         req.supervision.worker_retries = worker_retries;
@@ -754,6 +732,10 @@ int run(int argc, char** argv) {
                            fault.kind == sim::FaultPolicyKind::Tolerate ||
                            !checkpoint_path.empty() || checkpoint_every > 0 ||
                            !resume_path.empty();
+    // Apart from --checkpoint-every's, run_analysis and the splitting engine
+    // reject these pairs too, but only after the CLI has read the --resume
+    // checkpoint and created the witness directory; the CLI rejects them
+    // before it touches either.
     if (hardening && use_ctmc) {
         throw Error("--max-seconds/--max-samples/--max-steps, --fault, --checkpoint "
                     "and --resume are estimation-mode options (not --ctmc)");
@@ -770,6 +752,12 @@ int run(int argc, char** argv) {
     }
     if (!resume_path.empty() && !witness_dir.empty()) {
         throw Error("--resume cannot be combined with --witness");
+    }
+    if (splitting_mode && !witness_dir.empty()) {
+        throw Error("--split cannot be combined with witness capture");
+    }
+    if (processes > 0 && !witness_dir.empty()) {
+        throw Error("--processes cannot be combined with --witness");
     }
     if (!req.curve_bounds.empty() && !witness_dir.empty()) {
         throw Error("--curve/--curve-grid cannot be combined with --witness");

@@ -11,7 +11,7 @@ namespace {
 
 /// Without a progress callback the consumer reads the clock for the
 /// live-metrics snapshot only after this many more accepted samples, so a
-/// metered sequential run does not read it after every path.
+/// metered inline run does not read it after every path.
 constexpr std::uint64_t kProgressCheckStride = 16;
 
 std::vector<telemetry::CurvePoint> curve_points(const stat::CurveSummary& summary) {
@@ -151,7 +151,7 @@ std::size_t RunConsumer::drain(bool ordered) {
 
 bool RunConsumer::accept() {
     // Trajectory marks at the first accepted count >= each power of two:
-    // the exact powers under per-path streams and in the sequential venue,
+    // the exact powers under per-path streams and for the inline producer,
     // round ends under round-robin draining.
     if (last_.count >= next_mark_) {
         if (report_ != nullptr) {
@@ -320,7 +320,7 @@ EstimationResult RunConsumer::finish(EstimationResult run,
     r.worker_stats.clear();
     for (std::size_t w = 0; w < generated.size(); ++w) {
         // Stream w is the worker's split, or its family {w, w+k, ...} of
-        // per-path splits; a sequential run's 0 is the master stream.
+        // per-path splits; an inline run's 0 is the master stream.
         r.worker_stats.push_back(telemetry::WorkerStats{w, w, generated[w], accepted[w]});
     }
     if (curve_ != nullptr) {

@@ -1,16 +1,16 @@
 // The run consumer (paper, Sec. III-C, after [22]): workers only generate
 // samples; one consumer decides which samples count and when the run stops.
 //
-// Every estimation venue — sequential (sim/runner), threaded
-// (sim/parallel_runner) and supervised (sim/supervise) — is a producer of
-// samples in front of one RunConsumer, which owns everything after a sample
-// is produced: checkpoint resume, the Bernoulli (and curve) summary,
+// Every producer — the in-process venue's inline producer or worker threads
+// (sim/executor.hpp) and the supervised worker processes (sim/supervise) —
+// runs one PathExecutor in front of one RunConsumer, which owns everything
+// after a sample is produced: checkpoint resume, the Bernoulli (and curve) summary,
 // terminal tags and accepted steps, the RunGovernor, live metrics, the
 // journal's worker rings and stop event, the power-of-two trajectory marks,
 // the periodic checkpoint schedule, progress snapshots, quarantined faults,
-// and the assembly of the result and the report. The venues differ only in
-// how samples reach it: the sequential loop hands each path to consume(),
-// the others drain a SampleCollector through drain().
+// and the assembly of the result and the report. Producers differ only in
+// how samples reach it: the inline producer hands each path to consume(),
+// the others feed a SampleCollector that drain() empties.
 #pragma once
 
 #include <chrono>
@@ -32,8 +32,8 @@ class RunConsumer {
 public:
     /// Validates and restores `options.control.resume` against this run's
     /// identity, and opens one journal ring per worker. `curve` is null for
-    /// a scalar run. `collector` is null for the sequential venue, whose
-    /// single worker hands its samples to consume().
+    /// a scalar run. `collector` is null for the inline producer, which
+    /// hands its samples to consume().
     RunConsumer(const TimedReachability& property, std::string strategy_name,
                 const stat::StopCriterion& criterion, const CurveOptions* curve,
                 stat::CurveSummary* curve_summary, std::uint64_t seed,
@@ -48,7 +48,7 @@ public:
     /// already satisfies them accepts nothing more.
     [[nodiscard]] bool stopped() const { return stopped_; }
 
-    /// The sequential venue: accepts one path, takes the per-sample decision
+    /// The inline producer: accepts one path, takes the per-sample decision
     /// and runs the post-batch hook.
     void consume(const PathOutcome& out);
 

@@ -9,7 +9,7 @@
 // with error probability delta for both errors, typically needing far fewer
 // paths than estimation to the same confidence. SPRT is a stop criterion of
 // the run consumer (sim/consumer.hpp) like any estimation criterion, so a
-// test runs in every venue: sequential, threaded and supervised.
+// test runs in every venue: inline, threaded and supervised.
 #pragma once
 
 #include "sim/runner.hpp"

@@ -9,6 +9,7 @@
 
 #include "sim/consumer.hpp"
 #include "sim/coverage.hpp"
+#include "sim/executor.hpp"
 #include "support/block_pacer.hpp"
 
 namespace slimsim::sim {
@@ -51,39 +52,42 @@ void validate_threaded(const TimedReachability& property, StrategyKind strategy,
     if (curve != nullptr) validate_curve_request(property, *curve);
 }
 
-/// The threaded venue behind estimate_parallel() and
-/// estimate_curve_parallel(): k worker threads producing samples for the
-/// run consumer (sim/consumer.hpp); `curve` and `curve_summary` as in the
-/// sequential venue (runner.cpp).
-EstimationResult run_threaded(const eda::Network& net, const TimedReachability& property,
-                              StrategyKind strategy, const stat::StopCriterion& criterion,
-                              const CurveOptions* curve, stat::CurveSummary* curve_summary,
-                              std::uint64_t seed, const ParallelOptions& options,
-                              telemetry::RunReport* report) {
+} // namespace
+
+EstimationResult run_in_process(const eda::Network& net, const TimedReachability& property,
+                                Strategy* inline_strategy, StrategyKind kind,
+                                const stat::StopCriterion& criterion, const CurveOptions* curve,
+                                stat::CurveSummary* curve_summary, std::uint64_t seed,
+                                const ParallelOptions& options, telemetry::RunReport* report) {
+    const bool inline_run = inline_strategy != nullptr;
+    const std::size_t k = inline_run ? 1 : options.workers;
     const bool coverage = options.sim.coverage;
-    const RunControlOptions& control = options.sim.control;
     // Curves, coverage and checkpoint/resume switch to per-path RNG streams
     // and sample-granular ordered draining: the accepted prefix (and so the
     // estimate, the profile and the checkpoint cursor) is then the same for
-    // every worker count.
-    const bool per_path = curve != nullptr || coverage || control.per_path_streams();
-    const bool tolerate = control.fault.kind == FaultPolicyKind::Tolerate;
+    // every worker count, and a resumed run continues the exact path
+    // sequence the interrupted run would have produced.
+    const bool per_path = curve != nullptr || coverage || options.sim.control.per_path_streams();
+    const bool tolerate = options.sim.control.fault.kind == FaultPolicyKind::Tolerate;
 
-    // A curve's paths only need to run to its largest bound.
+    // A curve's paths only need to run to its largest bound; the hit time
+    // of a path simulated to u_max decides every smaller bound at once.
     TimedReachability horizon = property;
     if (curve != nullptr) horizon.bound = curve->bounds.back();
     const Rng master(seed);
-    const std::size_t k = options.workers;
-    stat::SampleCollector collector(k);
-    collector.set_metrics(options.sim.metrics);
-    RunConsumer consumer(property, to_string(strategy), criterion, curve, curve_summary, seed,
-                         options.sim, k, &collector, report);
+    std::optional<stat::SampleCollector> collector;
+    if (!inline_run) {
+        collector.emplace(k);
+        collector->set_metrics(options.sim.metrics);
+    }
+    RunConsumer consumer(property, inline_run ? inline_strategy->name() : to_string(kind),
+                         criterion, curve, curve_summary, seed, options.sim, k,
+                         collector ? &*collector : nullptr, report);
     const std::uint64_t base = consumer.base();
-    std::atomic<bool> stop{false};
 
-    // One shard per worker; worker w records its paths in generation order
-    // (its local path i is global path w + i*k), so merge_coverage can walk
-    // the accepted prefix in global path order after the threads join.
+    // One shard per producer; producer w records its paths in generation
+    // order (its local path i is global path w + i*k), so merge_coverage
+    // can walk the accepted prefix in global path order afterwards.
     std::optional<eda::ElementIndex> element_index;
     std::vector<std::unique_ptr<CoverageShard>> shards;
     if (coverage) {
@@ -94,104 +98,126 @@ EstimationResult run_threaded(const eda::Network& net, const TimedReachability& 
         }
     }
 
-    std::vector<std::uint64_t> generated(k, 0);
-    std::mutex error_mutex;
-    std::exception_ptr worker_error;
-
     // Lanes are created in worker order *before* the threads start, so lane
     // ids (the exported tid values) are deterministic in (seed, workers).
     std::vector<tracer::Lane*> lanes(k, nullptr);
-    if (options.tracer != nullptr && options.tracer->enabled()) {
+    if (inline_run) {
+        lanes[0] = options.sim.trace_lane;
+    } else if (options.tracer != nullptr && options.tracer->enabled()) {
         for (std::size_t w = 0; w < k; ++w) {
             lanes[w] = options.tracer->lane("worker " + std::to_string(w));
         }
-        collector.set_trace(options.tracer->lane("collector"));
+        collector->set_trace(options.tracer->lane("collector"));
     }
 
     // Witnesses are captured for scalar runs only.
     const std::size_t witness_k = curve != nullptr ? 0 : options.sim.witness.per_kind;
-    std::vector<WitnessBuffer> witness_buffers;
-    witness_buffers.reserve(k);
-    for (std::size_t w = 0; w < k; ++w) {
-        witness_buffers.emplace_back(witness_k);
-    }
+    std::vector<WitnessBuffer> witness_buffers(k, WitnessBuffer(witness_k));
 
-    std::vector<std::thread> threads;
-    threads.reserve(k);
-    for (std::size_t w = 0; w < k; ++w) {
-        threads.emplace_back([&, w] {
-            try {
-                Rng rng = master.split(w);
-                const auto strat = make_strategy(strategy);
-                SimOptions sim_options = options.sim;
-                sim_options.trace_lane = lanes[w];
-                if (sim_options.metrics != nullptr) {
-                    sim_options.metrics_shard = w % sim_options.metrics->shards();
-                }
-                if (coverage) {
-                    sim_options.coverage_shard = shards[w].get();
-                    strat->set_observer(shards[w].get());
-                }
-                const PathGenerator gen(net, horizon, *strat, sim_options);
-                SampleBlock block(collector, w);
-                WitnessBuffer& witnesses = witness_buffers[w];
-                const bool capture = witnesses.active();
-                Rng pre_path(0);
+    // Producer w: simulates its paths through one PathExecutor while
+    // `running()` holds, counting them in `generated` and handing each
+    // outcome to `emit`. Decision observation stays scoped to the loop: the
+    // inline producer's witness replay reuses its strategy and must not
+    // pollute the decision histograms.
+    const auto produce = [&](std::size_t w, Strategy& strategy, Rng stream,
+                             std::uint64_t& generated, auto running, auto emit) {
+        const ObserverGuard observe(strategy, coverage ? shards[w].get() : nullptr);
+        SimOptions sim_options = options.sim;
+        sim_options.trace_lane = lanes[w];
+        if (sim_options.metrics != nullptr) {
+            sim_options.metrics_shard = w % sim_options.metrics->shards();
+        }
+        if (coverage) sim_options.coverage_shard = shards[w].get();
+        const PathGenerator gen(net, horizon, strategy, sim_options);
+        PathExecutor executor(gen, master, stream, per_path, base + w, k, tolerate,
+                              witness_k > 0 ? &witness_buffers[w] : nullptr);
+        while (running()) {
+            const PathOutcome out = executor.run(generated);
+            // Kept only if the sample is accepted.
+            if (out.terminal == PathTerminal::Error) {
+                consumer.quarantine(w, generated, executor.error().c_str());
+            }
+            ++generated;
+            emit(out);
+        }
+    };
+
+    // The two producer kinds differ only in what they hand produce(): the
+    // inline producer continues the master stream Rng(seed) with the
+    // caller's strategy (so Input and custom strategies work) on the
+    // caller's trace lane, inside the run span; worker thread w continues
+    // Rng(seed).split(w) with its own strategy of `kind` on lane "worker w".
+    std::vector<std::uint64_t> generated(k, 0);
+    std::exception_ptr failure;
+    if (inline_run) {
+        const tracer::Span run_span(
+            lanes[0], lanes[0] != nullptr ? lanes[0]->intern(curve != nullptr
+                                                                 ? "sim.estimate_curve"
+                                                                 : "sim.estimate")
+                                          : tracer::kNoName);
+        try {
+            produce(0, *inline_strategy, master, generated[0],
+                    [&] { return !consumer.stopped(); },
+                    [&](const PathOutcome& out) { consumer.consume(out); });
+        } catch (...) {
+            failure = std::current_exception();
+        }
+    } else {
+        std::atomic<bool> stop{false};
+        std::mutex error_mutex;
+        std::vector<std::thread> threads;
+        threads.reserve(k);
+        for (std::size_t w = 0; w < k; ++w) {
+            threads.emplace_back([&, w] {
+                // Counted on this thread's stack: neighbouring counters in
+                // `generated` would share a cache line.
                 std::uint64_t local_generated = 0;
-                while (!stop.load(std::memory_order_relaxed)) {
-                    // With per-path streams worker w owns the global path
-                    // indices base+w, base+w+k, ... (base = resume cursor)
-                    // and path j simulates with split(j), so sample r of
-                    // worker w is the same path for every worker count —
-                    // and for every interruption point.
-                    if (per_path) rng = master.split(base + w + local_generated * k);
-                    if (capture && !witnesses.saturated()) pre_path = rng;
-                    PathOutcome out;
-                    try {
-                        out = gen.run(rng);
-                    } catch (const std::exception& e) {
-                        if (!tolerate) throw;
-                        // Fault isolation: the throwing path becomes an
-                        // Error-tagged unsatisfied sample; the consumer keeps
-                        // its message only if the sample is accepted.
-                        out = PathOutcome{false, PathTerminal::Error, 0.0, 0};
-                        consumer.quarantine(w, local_generated, e.what());
-                    }
-                    // Error outcomes never become witnesses: replay would
-                    // rethrow the fault.
-                    if (capture && out.terminal != PathTerminal::Error) {
-                        witnesses.offer(local_generated, pre_path, out);
-                    }
-                    ++local_generated;
-                    block.add(stat::TaggedSample{out.satisfied,
-                                                 static_cast<std::uint8_t>(out.terminal),
-                                                 out.end_time, out.steps});
+                try {
+                    const auto strategy = make_strategy(kind);
+                    SampleBlock block(*collector, w);
+                    produce(w, *strategy, master.split(w), local_generated,
+                            [&] { return !stop.load(std::memory_order_relaxed); },
+                            [&](const PathOutcome& out) {
+                                block.add(stat::TaggedSample{
+                                    out.satisfied, static_cast<std::uint8_t>(out.terminal),
+                                    out.end_time, out.steps});
+                            });
+                } catch (...) {
+                    const std::lock_guard lock(error_mutex);
+                    if (!failure) failure = std::current_exception();
+                    stop.store(true);
                 }
                 generated[w] = local_generated;
-            } catch (...) {
-                const std::lock_guard lock(error_mutex);
-                if (!worker_error) worker_error = std::current_exception();
-                stop.store(true);
-            }
-        });
-    }
-
-    // Per-path runs drain sample by sample in global path order, so the
-    // accepted prefix — possibly ending mid-round — is the same for every
-    // worker count; the others take whole rounds, deterministic in (seed, k).
-    while (!stop.load(std::memory_order_relaxed) && !consumer.stopped()) {
-        if (consumer.drain(per_path) == 0 && !consumer.stopped()) {
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            });
         }
-    }
-    stop.store(true);
-    for (auto& t : threads) t.join();
 
-    // A worker abort (FailFast) still finalizes the partial summary and the
-    // report before rethrowing; only the witness replay, the coverage merge
-    // and the final checkpoint are skipped.
+        // Per-path runs drain sample by sample in global path order, so the
+        // accepted prefix — possibly ending mid-round — is the same for
+        // every worker count; the others take whole rounds, deterministic
+        // in (seed, k).
+        try {
+            while (!stop.load(std::memory_order_relaxed) && !consumer.stopped()) {
+                if (consumer.drain(per_path) == 0 && !consumer.stopped()) {
+                    std::this_thread::sleep_for(std::chrono::microseconds(200));
+                }
+            }
+        } catch (...) {
+            // A consumer failure (an unwritable periodic checkpoint) ends the
+            // run like a producer abort, as it does inline; the workers are
+            // joined first.
+            const std::lock_guard lock(error_mutex);
+            if (!failure) failure = std::current_exception();
+        }
+        stop.store(true);
+        for (auto& t : threads) t.join();
+    }
+
+    // An abort (a producer's FailFast fault, or a consumer failure) still
+    // finalizes the partial summary and the report before rethrowing; only
+    // the witness replay, the coverage merge and the final checkpoint are
+    // skipped.
     EstimationResult run;
-    if (worker_error == nullptr) {
+    if (failure == nullptr) {
         const std::vector<std::uint64_t> accepted = consumer.accepted_per_worker();
         if (coverage) {
             std::vector<const CoverageShard*> shard_ptrs;
@@ -200,22 +226,22 @@ EstimationResult run_threaded(const eda::Network& net, const TimedReachability& 
             run.coverage = merge_coverage(shard_ptrs, accepted);
         }
         if (witness_k > 0) {
-            // Replayed on this thread with a fresh strategy instance of the
-            // same kind (strategies are stateless).
-            const auto replay_strat = make_strategy(strategy);
-            run.witnesses = replay_run_witnesses(net, property, *replay_strat, options.sim,
+            // Replayed on this thread, by the inline producer's strategy or a
+            // fresh instance of the workers' kind (strategies are stateless).
+            std::unique_ptr<Strategy> replay_owner;
+            Strategy& replay = inline_run ? *inline_strategy
+                                          : *(replay_owner = make_strategy(kind));
+            run.witnesses = replay_run_witnesses(net, property, replay, options.sim,
                                                  witness_buffers, accepted);
         }
     } else {
         run.status = RunStatus::Degraded;
         run.stop_cause = "fail-fast worker abort";
     }
-    run = consumer.finish(std::move(run), generated, worker_error == nullptr);
-    if (worker_error) std::rethrow_exception(worker_error);
+    run = consumer.finish(std::move(run), generated, failure == nullptr);
+    if (failure) std::rethrow_exception(failure);
     return run;
 }
-
-} // namespace
 
 EstimationResult estimate_parallel(const eda::Network& net,
                                    const TimedReachability& property, StrategyKind strategy,
@@ -223,8 +249,8 @@ EstimationResult estimate_parallel(const eda::Network& net,
                                    const ParallelOptions& options,
                                    telemetry::RunReport* report) {
     validate_threaded(property, strategy, nullptr, options);
-    return run_threaded(net, property, strategy, criterion, nullptr, nullptr, seed, options,
-                        report);
+    return run_in_process(net, property, nullptr, strategy, criterion, nullptr, nullptr, seed,
+                          options, report);
 }
 
 EstimationResult estimate_parallel(const eda::Network& net,
@@ -243,8 +269,8 @@ CurveResult estimate_curve_parallel(const eda::Network& net,
                                     telemetry::RunReport* report) {
     validate_threaded(property, strategy, &curve, options);
     stat::CurveSummary summary(curve.bounds);
-    return curve_result(run_threaded(net, property, strategy, criterion, &curve, &summary,
-                                     seed, options, report),
+    return curve_result(run_in_process(net, property, nullptr, strategy, criterion, &curve,
+                                       &summary, seed, options, report),
                         curve, summary);
 }
 

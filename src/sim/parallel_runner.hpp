@@ -1,11 +1,13 @@
-// Parallel Monte Carlo estimation (paper, Sec. III-C).
+// Parallel Monte Carlo estimation (paper, Sec. III-C): the in-process venue
+// (sim/executor.hpp) with k worker threads.
 //
 // k worker threads generate paths independently (worker i simulates with the
 // RNG stream split(seed, i)); samples are consumed in *rounds* — one sample
 // from every worker per round — via stat::SampleCollector, which removes the
 // completion-order bias of naive parallel collection [21] and makes the
 // result deterministic in (seed, worker count). bench_parallel's bias demo
-// contrasts this with first-come consumption.
+// contrasts this with first-come consumption. A worker's FailFast abort
+// finalizes the partial report (status degraded) before it is rethrown.
 #pragma once
 
 #include "sim/runner.hpp"

@@ -1,4 +1,6 @@
-// Sequential Monte Carlo estimation runner.
+// Monte Carlo estimation on the calling thread: the in-process venue
+// (sim/executor.hpp) with one producer inline, using the caller's strategy.
+// The result types are shared by every venue.
 #pragma once
 
 #include <array>
@@ -44,8 +46,10 @@ struct EstimationResult {
     [[nodiscard]] std::string to_string() const;
 };
 
-/// Estimates P( <> [0,u] goal ) by sequential Monte Carlo until the stopping
-/// criterion is met. Deterministic in `seed`. When `report` is non-null the
+/// Estimates P( <> [0,u] goal ) by Monte Carlo on the calling thread until
+/// the stopping criterion is met. Deterministic in `seed`: path j continues
+/// the master stream Rng(seed), or simulates with Rng(seed).split(j) under
+/// per-path streams. When `report` is non-null the
 /// sampling statistics (samples, terminals, worker entry, stop-criterion
 /// trajectory) are recorded into it; identity fields (mode, model, phases)
 /// are the caller's responsibility — run_analysis() fills them.

@@ -15,7 +15,7 @@
 #include <unistd.h>
 
 #include "eda/network.hpp"
-#include "sim/path_generator.hpp"
+#include "sim/executor.hpp"
 #include "sim/supervise/setup.hpp"
 #include "support/diagnostics.hpp"
 
@@ -103,8 +103,10 @@ int run_worker_mode(int fd) {
         sim.max_steps = setup.max_steps;
         const PathGenerator gen(net, formula, *strat, sim);
 
+        // Under FailFast a path's throw becomes FATAL below.
         const Rng master(setup.seed);
-        const bool tolerate = setup.tolerate != 0;
+        PathExecutor executor(gen, master, master, true, setup.base + setup.w, setup.k,
+                              setup.tolerate != 0, nullptr);
         const std::uint32_t batch_size = std::max<std::uint32_t>(1, setup.batch);
         auto inj = setup.injections.cbegin();
         const auto inj_end = setup.injections.cend();
@@ -144,24 +146,14 @@ int run_worker_mode(int fd) {
                 }
             }
 
-            Rng rng = master.split(global);
-            PathOutcome out;
-            std::string err;
-            if (tolerate) {
-                try {
-                    out = gen.run(rng);
-                } catch (const std::exception& e) {
-                    out = PathOutcome{false, PathTerminal::Error, 0.0, 0};
-                    err = e.what();
-                }
-            } else {
-                out = gen.run(rng); // FailFast: a throw becomes FATAL below
-            }
+            const PathOutcome out = executor.run(local);
             put_u8(batch.samples, out.satisfied ? 1 : 0);
             put_u8(batch.samples, static_cast<std::uint8_t>(out.terminal));
             put_f64(batch.samples, out.end_time);
             put_u64(batch.samples, static_cast<std::uint64_t>(out.steps));
-            put_string(batch.samples, err);
+            put_string(batch.samples, out.terminal == PathTerminal::Error
+                                          ? std::string_view(executor.error())
+                                          : std::string_view());
             ++batch.count;
 
             if (fire && fault == InjectKind::FrameCorrupt) {

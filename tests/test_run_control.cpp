@@ -11,6 +11,7 @@
 #include <cmath>
 #include <csignal>
 #include <fstream>
+#include <functional>
 
 #include "sim/parallel_runner.hpp"
 #include "sim/runner.hpp"
@@ -470,6 +471,20 @@ TEST_F(RunControlSim, PeriodicCheckpointsDoNotPerturbTheRun) {
     EXPECT_EQ(ck.successes, res.successes);
 }
 
+TEST_F(RunControlSim, UnwritablePeriodicCheckpointEndsTheRunWithItsError) {
+    // Inline and on worker threads, the write error reaches the caller; the
+    // threads are stopped and joined first.
+    SimOptions options;
+    options.control.checkpoint_path = temp_path("no_such_dir/ck.bin");
+    options.control.checkpoint_every = 50;
+    EXPECT_THROW((void)estimate(net, prop, StrategyKind::Progressive, ch, 5, options), Error);
+    ParallelOptions po;
+    po.workers = 3;
+    po.sim = options;
+    EXPECT_THROW((void)estimate_parallel(net, prop, StrategyKind::Progressive, ch, 5, po),
+                 Error);
+}
+
 TEST_F(RunControlSim, CurveResumeIsByteIdentical) {
     CurveOptions curve;
     curve.bounds = {0.5, 1.0, 2.0};
@@ -615,13 +630,56 @@ TEST_F(FaultIsolation, FailFastStillFillsTheReport) {
     ParallelOptions po;
     po.workers = 2;
     po.sim.max_steps = 100;
-    telemetry::RunReport report;
-    EXPECT_THROW((void)estimate_parallel(zeno, zeno_prop, StrategyKind::Asap, ch, 1, po,
-                                         &report),
+    // Worker threads and the inline producer of estimate().
+    const std::function<void(telemetry::RunReport*)> runs[] = {
+        [&](telemetry::RunReport* report) {
+            (void)estimate_parallel(zeno, zeno_prop, StrategyKind::Asap, ch, 1, po, report);
+        },
+        [&](telemetry::RunReport* report) {
+            (void)estimate(zeno, zeno_prop, StrategyKind::Asap, ch, 1, po.sim, report);
+        },
+    };
+    for (const auto& run : runs) {
+        telemetry::RunReport report;
+        EXPECT_THROW(run(&report), Error);
+        // The partial summary was finalized before the rethrow.
+        EXPECT_EQ(report.run_status.status, "degraded");
+        EXPECT_EQ(report.run_status.stop_cause, "fail-fast worker abort");
+    }
+}
+
+TEST_F(FaultIsolation, FailFastReportCountsThePathsBeforeTheAbort) {
+    // max_steps 0 makes a path throw once it fires a transition, which the
+    // rate-0.5 event does before the 0.0002 bound in ~0.01% of paths, so a
+    // producer runs ~10,000 paths before it aborts the run. Every producer's
+    // generated count, the aborting one's included, covers what was
+    // accepted from it.
+    const eda::Network net = eda::build_network_from_source(kModel);
+    const TimedReachability prop = make_reachability(net.model(), "broken", 0.0002);
+    const stat::ChernoffHoeffding many{0.05, 0.002}; // 461,110 samples
+    ParallelOptions po;
+    po.workers = 2;
+    po.sim.max_steps = 0;
+    const auto check = [](const telemetry::RunReport& report) {
+        std::uint64_t accepted = 0;
+        for (const auto& ws : report.worker_stats) {
+            EXPECT_GE(ws.generated, ws.accepted) << "worker " << ws.worker;
+            accepted += ws.accepted;
+        }
+        EXPECT_EQ(accepted, report.samples);
+    };
+    telemetry::RunReport threaded;
+    EXPECT_THROW((void)estimate_parallel(net, prop, StrategyKind::Asap, many, 1, po, &threaded),
                  Error);
-    // The partial summary was finalized before the rethrow.
-    EXPECT_EQ(report.run_status.status, "degraded");
-    EXPECT_EQ(report.run_status.stop_cause, "fail-fast worker abort");
+    check(threaded);
+    // The inline producer accepts every path it generated before the abort.
+    telemetry::RunReport inline_run;
+    EXPECT_THROW((void)estimate(net, prop, StrategyKind::Asap, many, 1, po.sim, &inline_run),
+                 Error);
+    check(inline_run);
+    ASSERT_EQ(inline_run.worker_stats.size(), 1u);
+    EXPECT_GT(inline_run.samples, 0u);
+    EXPECT_EQ(inline_run.worker_stats[0].generated, inline_run.samples);
 }
 
 TEST_F(FaultIsolation, TolerateTurnsFaultsIntoErrorSamplesDeterministically) {

@@ -4,11 +4,11 @@
 // Every producer — the in-process venue's inline producer or worker threads
 // (sim/executor.hpp) and the supervised worker processes (sim/supervise) —
 // runs one PathExecutor in front of one RunConsumer, which owns everything
-// after a sample is produced: checkpoint resume, the Bernoulli (and curve) summary,
-// terminal tags and accepted steps, the RunGovernor, live metrics, the
-// journal's worker rings and stop event, the power-of-two trajectory marks,
-// the periodic checkpoint schedule, progress snapshots, quarantined faults,
-// and the assembly of the result and the report. Producers differ only in
+// after a sample is produced: checkpoint resume, the Bernoulli (and curve)
+// summary, terminal tags and accepted steps, the RunGovernor, live metrics,
+// the journal's worker rings and stop event, the power-of-two trajectory
+// marks, the periodic checkpoint schedule, progress snapshots, quarantined
+// faults, and the assembly of the result and the report. Producers differ only in
 // how samples reach it: the inline producer hands each path to consume(),
 // the others feed a SampleCollector that drain() empties.
 #pragma once

@@ -251,6 +251,16 @@ CompiledModel::CompiledModel(std::shared_ptr<const InstanceModel> model)
             st.hi = *v.type.hi;
         }
     }
+    // Network::elapse rewrites every variable in some location's rates
+    // list, even at slope 0, and may turn an int into a real.
+    std::vector<char> elapse_touched(model_->vars.size(), 0);
+    for (const InstProcess& proc : model_->processes) {
+        for (const slim::InstLocation& loc : proc.locations) {
+            for (const auto& [var, slope] : loc.rates) elapse_touched[var] = 1;
+        }
+    }
+    std::vector<char> flow_target(model_->vars.size(), 0);
+    std::vector<char> flow_read(model_->vars.size(), 0);
     flows_.reserve(model_->flows.size());
     for (const slim::InstFlow& f : model_->flows) {
         CompiledFlow& cf = flows_.emplace_back();
@@ -260,6 +270,20 @@ CompiledModel::CompiledModel(std::shared_ptr<const InstanceModel> model)
         if (nodes.size() == 1 && nodes[0].kind == expr::ExprKind::Var) {
             cf.source = nodes[0].payload;
         }
+        for (const expr::ProgramNode& node : nodes) {
+            if (node.kind == expr::ExprKind::Var) cf.reads.push_back(node.payload);
+        }
+        std::sort(cf.reads.begin(), cf.reads.end());
+        cf.reads.erase(std::unique(cf.reads.begin(), cf.reads.end()), cf.reads.end());
+        cf.timed = elapse_touched[cf.target] != 0 ||
+                   std::any_of(cf.reads.begin(), cf.reads.end(),
+                               [&](VarId v) { return elapse_touched[v] != 0; });
+        flow_target[cf.target] = 1;
+        for (const VarId v : cf.reads) flow_read[v] = 1;
+    }
+    relays_flows_.resize(model_->vars.size());
+    for (std::size_t v = 0; v < relays_flows_.size(); ++v) {
+        relays_flows_[v] = flow_target[v] != 0 && flow_read[v] != 0 ? 1 : 0;
     }
 
     content_hash_ = model_content_hash(*model_);
@@ -340,7 +364,10 @@ void StateInterner::Arena::clear() {
 }
 
 bool StateInterner::same_key(const Entry& e, const NetworkState& s) const {
-    return std::memcmp(e.key, s.locations.data(), location_bytes_) == 0 &&
+    // A model without processes has no location bytes, and the empty
+    // vector's data() may be null, which memcmp must not see.
+    return (location_bytes_ == 0 ||
+            std::memcmp(e.key, s.locations.data(), location_bytes_) == 0) &&
            std::memcmp(e.key + location_bytes_, s.active.data(), active_bytes_) == 0;
 }
 
@@ -424,7 +451,7 @@ std::uint32_t StateInterner::insert(const NetworkState& s, std::uint64_t h,
     e.hash = h;
     auto* key = static_cast<std::byte*>(
         arena_.allocate(location_bytes_ + active_bytes_, alignof(int)));
-    std::memcpy(key, s.locations.data(), location_bytes_);
+    if (location_bytes_ > 0) std::memcpy(key, s.locations.data(), location_bytes_);
     std::memcpy(key + location_bytes_, s.active.data(), active_bytes_);
     e.key = key;
     e.config.rates = share(rates_, rates_pool_);

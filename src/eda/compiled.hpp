@@ -109,11 +109,16 @@ struct VarStore {
 
 /// A data flow with its right-hand side compiled. `source` is the global
 /// variable a copy flow (bare-variable right-hand side) reads, else kNoSource.
+/// `reads` is its read set (the program's variables, sorted, once each). A
+/// `timed` flow's target or a read is in some location's rates list, so
+/// every elapse rewrites it and the incremental settle always runs the flow.
 struct CompiledFlow {
     static constexpr VarId kNoSource = std::numeric_limits<VarId>::max();
     expr::ProgramPtr program;
     VarId target = 0;
     VarId source = kNoSource;
+    std::vector<VarId> reads;
+    bool timed = false;
 };
 
 /// Compile-time statistics (deterministic; surfaced by --compile-stats and
@@ -145,6 +150,11 @@ public:
     [[nodiscard]] const CompiledFlow& flow(std::size_t i) const { return flows_[i]; }
     /// Store of global variable `var` (every flow and effect target).
     [[nodiscard]] const VarStore& store(VarId var) const { return stores_[var]; }
+    /// Whether `var` is a flow target that another flow reads. An injection
+    /// into it holds its injected value between settles, while the flows
+    /// that read it see the flow's own output, so the incremental settle
+    /// re-runs its flow whenever the injection is in force.
+    [[nodiscard]] bool relays_flows(VarId var) const { return relays_flows_[var] != 0; }
 
     [[nodiscard]] const CompileStats& stats() const { return stats_; }
 
@@ -159,6 +169,7 @@ private:
     std::vector<CompiledProcess> processes_;
     std::vector<CompiledFlow> flows_;
     std::vector<VarStore> stores_; // per global variable
+    std::vector<char> relays_flows_; // per global variable
     CompileStats stats_;
     std::uint64_t content_hash_ = 0;
 };
@@ -308,6 +319,28 @@ private:
     std::vector<std::uint32_t> injections_;
 };
 
+/// The variables a firing wrote, for the incremental settle that ends it
+/// (Network::settle). clear() starts a new set in O(1) by bumping an epoch.
+class DirtySet {
+public:
+    void resize(std::size_t vars) {
+        marks_.assign(vars, 0);
+        epoch_ = 1;
+    }
+    void clear() {
+        if (++epoch_ == 0) { // wrapped: forget every old mark
+            std::fill(marks_.begin(), marks_.end(), 0);
+            epoch_ = 1;
+        }
+    }
+    void mark(VarId var) { marks_[var] = epoch_; }
+    [[nodiscard]] bool test(VarId var) const { return marks_[var] == epoch_; }
+
+private:
+    std::vector<std::uint32_t> marks_; // epoch of the last mark, per variable
+    std::uint32_t epoch_ = 1;
+};
+
 /// Reusable per-worker simulation buffers. Bound to one CompiledModel at a
 /// time; rebinding (bind()) clears model-derived caches. Owned by path
 /// generators (one per worker), ctmc::build_state_space (one per
@@ -322,6 +355,7 @@ struct SimScratch {
     std::vector<std::pair<ProcessId, int>> fired; // StepInfo::fired storage
     std::vector<std::pair<ProcessId, int>> left;  // (error process, old location)
     std::vector<char> next_active;                // activation fixpoint round
+    DirtySet dirty;                               // sized to the variables at bind()
     // resolve_moves: each participant's sub-choices (ends per participant),
     // then the joint moves, whose firing sets live in move_firings.
     std::vector<std::pair<ProcessId, int>> move_options;
@@ -338,6 +372,7 @@ struct SimScratch {
         if (bound_ != &cm) {
             interner.clear();
             initial.reset();
+            dirty.resize(cm.model().vars.size());
             bound_ = &cm;
         }
     }

@@ -10,6 +10,7 @@
 #include "expr/eval.hpp"
 #include "slim/parser.hpp"
 #include "slim/validate.hpp"
+#include "support/hash.hpp"
 
 namespace slimsim::eda {
 
@@ -95,7 +96,7 @@ const NetworkState& Network::initial_state(SimScratch& scratch) const {
         }
         s.active[i] = a ? 1 : 0;
     }
-    settle(s, scratch);
+    settle(s, {}, scratch);
     scratch.initial = std::move(s);
     return *scratch.initial;
 }
@@ -112,7 +113,7 @@ NetworkState Network::forced_initial_state(
                            model_->processes[static_cast<std::size_t>(proc)].locations.size());
         s.locations[static_cast<std::size_t>(proc)] = loc;
     }
-    settle(s, scratch);
+    settle(s, {}, scratch);
     return s;
 }
 
@@ -280,15 +281,27 @@ void store(const CompiledModel& cm, NetworkState& s, VarId var, const Value& v) 
     }
 }
 
-/// Applies pre-evaluated effect writes in order.
+/// Applies pre-evaluated effect writes in order, marking their targets.
 void apply_writes(const CompiledModel& cm, NetworkState& s,
-                  std::span<const std::pair<VarId, Value>> writes) {
-    for (const auto& [var, val] : writes) store(cm, s, var, val);
+                  std::span<const std::pair<VarId, Value>> writes, DirtySet& dirty) {
+    for (const auto& [var, val] : writes) {
+        store(cm, s, var, val);
+        dirty.mark(var);
+    }
+}
+
+/// Same representation and same bits (Value's == equates int 9 and real 9.0).
+bool same_bits(const Value& a, const Value& b) {
+    if (a.index() != b.index()) return false;
+    if (a.is_bool()) return a.as_bool() == b.as_bool();
+    if (a.is_int()) return a.as_int() == b.as_int();
+    return double_bits(a.as_real()) == double_bits(b.as_real());
 }
 
 } // namespace
 
-std::uint32_t Network::settle(NetworkState& s, SimScratch& scratch) const {
+std::uint32_t Network::settle(NetworkState& s, std::span<const std::uint32_t> before,
+                              SimScratch& scratch) const {
     // Injected failure values must both feed the data flows (a failed
     // sensor's wrong reading propagates downstream) and override flows into
     // injected targets (a failed filter's zero output wins over its own
@@ -303,17 +316,62 @@ std::uint32_t Network::settle(NetworkState& s, SimScratch& scratch) const {
             s.values[inj.target] = inj.value;
         }
     };
-    inject();
+    if (cfg.flows.empty()) { // nothing between the passes: one does both
+        inject();
+        return id;
+    }
+    // Only the flows a firing can have changed run; the others would
+    // recompute, from the inputs they read last time, the value their
+    // target still holds. A flow runs when it is not in `before` (the flows
+    // s was last settled with; empty for a state never settled, so every
+    // flow runs), when it is timed, or when its target or a read is dirty:
+    // written by the firing (apply_firing, fire_one), changed by the first
+    // inject pass, or the target of a flow that ran before it. An injected
+    // target that relays flows is dirty in any case (CompiledModel::
+    // relays_flows). Flows are in topological order, so one pass suffices.
+    DirtySet& dirty = scratch.dirty;
+    for (const std::uint32_t i : cfg.injections) {
+        const slim::Injection& inj = model_->injections[i];
+        Value& v = s.values[inj.target];
+        if (cm_->relays_flows(inj.target) || !same_bits(v, inj.value)) dirty.mark(inj.target);
+        v = inj.value;
+    }
+    // Interned lists are shared, so an equal span means no new flow; else
+    // both lists ascend and one merge walk finds the new ones.
+    const bool same_flows =
+        before.data() == cfg.flows.data() && before.size() == cfg.flows.size();
+    auto prev = before.begin();
     for (const std::uint32_t i : cfg.flows) {
         const CompiledFlow& f = cm_->flow(i);
+        bool run = f.timed || dirty.test(f.target);
+        if (!same_flows) {
+            while (prev != before.end() && *prev < i) ++prev;
+            run = run || prev == before.end() || *prev != i;
+        }
+        if (!run) {
+            run = std::any_of(f.reads.begin(), f.reads.end(),
+                              [&](VarId v) { return dirty.test(v); });
+            if (!run) continue;
+        }
         if (f.source != CompiledFlow::kNoSource) {
             store(*cm_, s, f.target, s.values[f.source]);
         } else {
             store(*cm_, s, f.target, f.program->run(s.values, scratch.eval));
         }
+        dirty.mark(f.target);
     }
     inject();
     return id;
+}
+
+void Network::restore_injections(NetworkState& s, ProcessId p, int left,
+                                 DirtySet& dirty) const {
+    for (const slim::Injection& inj : model_->injections) {
+        if (inj.process == p && inj.state == left) {
+            s.values[inj.target] = inj.restore;
+            dirty.mark(inj.target);
+        }
+    }
 }
 
 /// Fires one transition in isolation: effects evaluated against the current
@@ -334,12 +392,9 @@ void Network::fire_one(NetworkState& s, ProcessId p, int t, SimScratch& scratch)
     }
     s.locations[static_cast<std::size_t>(p)] = tr.dst;
     s.values[proc.timer] = Value(0.0);
-    apply_writes(*cm_, s, writes);
-    if (proc.is_error && tr.dst != old_loc) {
-        for (const slim::Injection& inj : model_->injections) {
-            if (inj.process == p && inj.state == old_loc) s.values[inj.target] = inj.restore;
-        }
-    }
+    scratch.dirty.mark(proc.timer);
+    apply_writes(*cm_, s, writes, scratch.dirty);
+    if (proc.is_error && tr.dst != old_loc) restore_injections(s, p, old_loc, scratch.dirty);
     scratch.fired.emplace_back(p, t);
 }
 
@@ -387,6 +442,14 @@ StepInfo Network::apply_firing(NetworkState& s,
                                std::span<const std::pair<ProcessId, int>> firing,
                                SimScratch& scratch) const {
     scratch.bind(*cm_);
+    // The flows s was settled with: the settle that ends the step runs only
+    // those the firing can have changed. A model without flows skips the
+    // lookup.
+    const std::span<const std::uint32_t> before =
+        model_->flows.empty() ? std::span<const std::uint32_t>()
+                              : scratch.interner.intern(s, *cm_).flows;
+    DirtySet& dirty = scratch.dirty;
+    dirty.clear();
     std::vector<std::pair<ProcessId, int>>& fired = scratch.fired;
     fired.clear();
     // Synchronized semantics: all effect right-hand sides are evaluated
@@ -408,17 +471,14 @@ StepInfo Network::apply_firing(NetworkState& s,
         const int old_loc = s.locations[static_cast<std::size_t>(p)];
         s.locations[static_cast<std::size_t>(p)] = tr.dst;
         s.values[proc.timer] = Value(0.0);
+        dirty.mark(proc.timer);
         if (proc.is_error && tr.dst != old_loc) left.emplace_back(p, old_loc);
         fired.emplace_back(p, t);
     }
-    apply_writes(*cm_, s, writes);
-    for (const auto& [p, old_loc] : left) {
-        for (const slim::Injection& inj : model_->injections) {
-            if (inj.process == p && inj.state == old_loc) s.values[inj.target] = inj.restore;
-        }
-    }
+    apply_writes(*cm_, s, writes, dirty);
+    for (const auto& [p, old_loc] : left) restore_injections(s, p, old_loc, dirty);
     recompute_activation(s, scratch);
-    return StepInfo{fired, settle(s, scratch)};
+    return StepInfo{fired, settle(s, before, scratch)};
 }
 
 StepInfo Network::execute(NetworkState& s, const Candidate& c, Rng& rng,

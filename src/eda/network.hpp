@@ -204,9 +204,16 @@ private:
     void fire_trigger_class(NetworkState& s, std::size_t instance, slim::TriggerClass tc,
                             SimScratch& scratch) const;
     /// Inject / flow / inject after the locations and activation are final.
-    /// Returns the interner id of s's configuration.
-    std::uint32_t settle(NetworkState& s, SimScratch& scratch) const;
+    /// `before` lists the flows s was last settled with (empty: never, so
+    /// every flow runs); of those, only flows whose inputs or target the
+    /// firing marked in `scratch.dirty` run again. Returns the interner id
+    /// of s's configuration.
+    std::uint32_t settle(NetworkState& s, std::span<const std::uint32_t> before,
+                         SimScratch& scratch) const;
     void fire_one(NetworkState& s, ProcessId p, int t, SimScratch& scratch) const;
+    /// Restores the targets process p injected in location `left`, marking
+    /// them dirty.
+    void restore_injections(NetworkState& s, ProcessId p, int left, DirtySet& dirty) const;
     [[nodiscard]] IntervalSet guard_times(const NetworkState& s,
                                           std::span<const double> rates, ProcessId p,
                                           int t, SimScratch& scratch) const;

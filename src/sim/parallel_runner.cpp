@@ -149,6 +149,7 @@ EstimationResult run_in_process(const eda::Network& net, const TimedReachability
     // Rng(seed).split(w) with its own strategy of `kind` on lane "worker w".
     std::vector<std::uint64_t> generated(k, 0);
     std::exception_ptr failure;
+    bool consumer_failed = false; // else a producer's FailFast fault
     if (inline_run) {
         const tracer::Span run_span(
             lanes[0], lanes[0] != nullptr ? lanes[0]->intern(curve != nullptr
@@ -158,7 +159,14 @@ EstimationResult run_in_process(const eda::Network& net, const TimedReachability
         try {
             produce(0, *inline_strategy, master, generated[0],
                     [&] { return !consumer.stopped(); },
-                    [&](const PathOutcome& out) { consumer.consume(out); });
+                    [&](const PathOutcome& out) {
+                        try {
+                            consumer.consume(out);
+                        } catch (...) {
+                            consumer_failed = true;
+                            throw;
+                        }
+                    });
         } catch (...) {
             failure = std::current_exception();
         }
@@ -206,7 +214,10 @@ EstimationResult run_in_process(const eda::Network& net, const TimedReachability
             // run like a producer abort, as it does inline; the workers are
             // joined first.
             const std::lock_guard lock(error_mutex);
-            if (!failure) failure = std::current_exception();
+            if (!failure) {
+                failure = std::current_exception();
+                consumer_failed = true;
+            }
         }
         stop.store(true);
         for (auto& t : threads) t.join();
@@ -236,7 +247,7 @@ EstimationResult run_in_process(const eda::Network& net, const TimedReachability
         }
     } else {
         run.status = RunStatus::Degraded;
-        run.stop_cause = "fail-fast worker abort";
+        run.stop_cause = consumer_failed ? "consumer failure" : "fail-fast worker abort";
     }
     run = consumer.finish(std::move(run), generated, failure == nullptr);
     if (failure) std::rethrow_exception(failure);

@@ -99,6 +99,29 @@ std::string to_string(PathTerminal t) {
     return "?";
 }
 
+RaceResult markov_race(std::span<const eda::MarkovianRate> rates, Rng& rng) {
+    // Every delay is -log1p(-u)/rate >= P(u)/rate with P(u) = u + u²/2 + u³/3,
+    // the first terms of -ln(1-u)'s all-positive series. A uniform whose
+    // bound already reaches the running minimum cannot win (a win needs a
+    // strictly smaller delay), so its log is skipped. The 2^-40 margin is far
+    // wider than log1p's few-ulp error and the roundings of the bound. The
+    // winner's delay is computed exactly as Rng::exponential computes it.
+    constexpr double kMargin = 1.0 + 0x1.0p-40;
+    RaceResult race;
+    double cutoff = kInf; // race.time * kMargin
+    for (const auto& [proc, rate] : rates) {
+        const double u = rng.uniform01();
+        if (u * (1.0 + u * (0.5 + u * (1.0 / 3.0))) / rate >= cutoff) continue;
+        const double d = exponential_from_uniform(u, rate);
+        if (d < race.time) {
+            race.time = d;
+            race.winner = proc;
+            cutoff = d * kMargin;
+        }
+    }
+    return race;
+}
+
 PathGenerator::PathGenerator(const eda::Network& net, const PathFormula& formula,
                              Strategy& strategy, SimOptions options)
     : net_(net), formula_(formula), strategy_(strategy), options_(options),
@@ -267,17 +290,9 @@ std::optional<PathOutcome> PathGenerator::iterate(eda::NetworkState& s, Rng& rng
     const double window = std::isinf(horizon) ? remaining : horizon;
 
     // Markovian race: earliest exponential among rate locations.
-    double t_markov = kInf;
-    eda::ProcessId markov_winner = -1;
     if (lane_ != nullptr) lane_->begin(n_delay_);
     const std::span<const eda::MarkovianRate> rates = net_.markovian_rates(s, scratch_);
-    for (const auto& [proc, rate] : rates) {
-        const double d = rng.exponential(rate);
-        if (d < t_markov) {
-            t_markov = d;
-            markov_winner = proc;
-        }
-    }
+    const RaceResult race = markov_race(rates, rng);
     if (lane_ != nullptr) lane_->end(n_arg_count_, static_cast<double>(rates.size()));
 
     const std::span<const eda::Candidate> cands = net_.candidates(s, window, scratch_);
@@ -307,8 +322,7 @@ std::optional<PathOutcome> PathGenerator::iterate(eda::NetworkState& s, Rng& rng
     // If neither the Markovian race nor the strategy schedules anything
     // before the formula bound, the verdict is decided by pure elapse.
     const double strategy_delay = choice ? choice->delay : kInf;
-    const double markov_delay = markov_winner >= 0 ? t_markov : kInf;
-    const double next_event = std::min(strategy_delay, markov_delay);
+    const double next_event = std::min(strategy_delay, race.time); // inf if none raced
     if (next_event > remaining && next_event <= window) {
         const MonitorResult v = elapse_verdict(s, remaining);
         SLIMSIM_ASSERT(v.verdict != Verdict::Undecided);
@@ -317,18 +331,18 @@ std::optional<PathOutcome> PathGenerator::iterate(eda::NetworkState& s, Rng& rng
     }
 
     const bool markov_first =
-        markov_winner >= 0 && t_markov <= window &&
-        (!choice || t_markov < choice->delay ||
-         (t_markov == choice->delay && rng.bernoulli(0.5)));
+        race.winner >= 0 && race.time <= window &&
+        (!choice || race.time < choice->delay ||
+         (race.time == choice->delay && rng.bernoulli(0.5)));
 
     if (markov_first) {
-        if (const MonitorResult v = elapse_verdict(s, t_markov);
+        if (const MonitorResult v = elapse_verdict(s, race.time);
             v.verdict != Verdict::Undecided) {
             advance(s, v.at);
             return finish_decided(v);
         }
-        advance(s, t_markov);
-        const eda::StepInfo info = net_.execute_markovian(s, markov_winner, rng, scratch_);
+        advance(s, race.time);
+        const eda::StepInfo info = net_.execute_markovian(s, race.winner, rng, scratch_);
         if (cov_ != nullptr) cov_->on_step(info);
         if (trace != nullptr) trace->record(s.time, describe_step(net_, info));
         ++pending_.fires[kMarkovian];

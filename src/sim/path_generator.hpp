@@ -16,6 +16,8 @@
 #pragma once
 
 #include <array>
+#include <limits>
+#include <span>
 
 #include "sim/observe.hpp"
 #include "sim/property.hpp"
@@ -112,6 +114,20 @@ using EngineCounts = std::vector<std::vector<std::uint64_t>>;
 /// instruments registered at `end` get an entry.
 void add_engine_counts(telemetry::RunReport& report, const EngineCounts& start,
                        const EngineCounts& end);
+
+/// The outcome of one step's Markovian race: the rate location whose
+/// exponential delay came first, and that delay.
+struct RaceResult {
+    eda::ProcessId winner = -1; // -1 when no rate location raced
+    double time = std::numeric_limits<double>::infinity();
+};
+
+/// Races one Exp(total_rate) delay per entry of `rates`, in order; the
+/// first strict minimum wins. It draws one uniform per entry, like
+/// `rng.exponential(rate)` in a plain loop, and returns the same winner,
+/// the same delay bits and leaves the same RNG state, but takes the log
+/// only for a uniform whose delay could still beat the running minimum.
+[[nodiscard]] RaceResult markov_race(std::span<const eda::MarkovianRate> rates, Rng& rng);
 
 struct PathOutcome {
     bool satisfied = false;

@@ -1,7 +1,5 @@
 #include "support/rng.hpp"
 
-#include <cmath>
-
 namespace slimsim {
 
 namespace {
@@ -72,8 +70,7 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
 
 double Rng::exponential(double rate) {
     SLIMSIM_ASSERT(rate > 0.0);
-    // Inverse transform; 1 - U in (0,1] avoids log(0).
-    return -std::log1p(-uniform01()) / rate;
+    return exponential_from_uniform(uniform01(), rate);
 }
 
 bool Rng::bernoulli(double p) {

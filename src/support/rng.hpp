@@ -6,12 +6,20 @@
 // reproducible given (seed, worker count).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
 #include "support/diagnostics.hpp"
 
 namespace slimsim {
+
+/// The inverse transform of Rng::exponential: the Exp(rate) variate of a
+/// uniform u in [0, 1). Callers that draw u themselves (the pruned Markovian
+/// race) get the same bits as Rng::exponential.
+inline double exponential_from_uniform(double u, double rate) {
+    return -std::log1p(-u) / rate; // 1 - u in (0, 1] avoids log(0)
+}
 
 /// xoshiro256++ PRNG (Blackman & Vigna). Satisfies UniformRandomBitGenerator.
 class Rng {

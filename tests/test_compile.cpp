@@ -715,6 +715,192 @@ TEST(StateInterner, MatchesRecomputationAlongPathsAndKeepsEntriesStable) {
     }
 }
 
+/// The valuation as (representation, bits) pairs, so comparisons are
+/// bitwise (Value's == equates int 9 and real 9.0).
+std::vector<std::pair<std::size_t, std::uint64_t>> bits_of(const std::vector<Value>& values) {
+    std::vector<std::pair<std::size_t, std::uint64_t>> out;
+    out.reserve(values.size());
+    for (const Value& v : values) {
+        out.emplace_back(v.index(), v.is_bool()  ? std::uint64_t{v.as_bool()}
+                                    : v.is_int() ? static_cast<std::uint64_t>(v.as_int())
+                                                 : double_bits(v.as_real()));
+    }
+    return out;
+}
+
+/// s's valuation settled again from scratch by the tree-walking evaluator:
+/// the injections of s's configuration, every one of its flows, the
+/// injections again. The oracle for the incremental settle, which re-runs
+/// only the flows a firing can have changed.
+std::vector<Value> full_resettle(const eda::Network& net, const eda::NetworkState& s) {
+    const slim::InstanceModel& m = net.model();
+    const ConfigView cfg = recompute(net, s);
+    std::vector<Value> values = s.values;
+    const auto inject = [&] {
+        for (const std::uint32_t i : cfg.injections) {
+            values[m.injections[i].target] = m.injections[i].value;
+        }
+    };
+    inject();
+    for (const std::uint32_t i : cfg.flows) {
+        const slim::InstFlow& f = m.flows[i];
+        values[f.target] = expr::evaluate(*f.value, expr::EvalContext{values, *f.bindings})
+                               .coerce_to(m.vars[f.target].type);
+    }
+    inject();
+    return values;
+}
+
+/// Wraps an automated strategy and checks every state it is consulted on
+/// against full_resettle. It drives the Continue memory policy, which only
+/// PathGenerator::run honours.
+class ResettleChecking final : public sim::Strategy {
+public:
+    explicit ResettleChecking(sim::StrategyKind kind) : inner_(sim::make_strategy(kind)) {}
+    [[nodiscard]] std::string name() const override { return inner_->name(); }
+    std::size_t checked = 0;
+    std::size_t mismatched = 0;
+
+protected:
+    std::optional<sim::ScheduledChoice> choose_impl(const eda::Network& net,
+                                                    const eda::NetworkState& state,
+                                                    std::span<const eda::Candidate> candidates,
+                                                    double horizon, Rng& rng) override {
+        ++checked;
+        if (bits_of(state.values) != bits_of(full_resettle(net, state))) ++mismatched;
+        return inner_->choose(net, state, candidates, horizon, rng);
+    }
+
+private:
+    std::unique_ptr<sim::Strategy> inner_;
+};
+
+/// A model whose flows the firings reach every way the incremental settle
+/// tracks: an effect into a flow target (`level := 99`); an injected flow
+/// target (`level`) that a repair restores and that flows read while
+/// another of their inputs changes (`bias`); a flow source that only an
+/// @activation cascade writes (`mark`, read by `seen`); and flows that an
+/// activation change switches off and on.
+constexpr const char* kRelayModel = R"(
+root Top.I;
+system Unit
+features
+  level: out data port int [0..100] default 0;
+  shown: out data port int [0..200] default 0;
+  mark: out data port int [0..1] default 0;
+end Unit;
+system implementation Unit.I
+subcomponents
+  base: data int [0..3] default 1;
+flows
+  level := base * 2;
+  shown := level + 1;
+modes
+  idle: initial mode;
+  busy: mode;
+transitions
+  idle -[when @timer >= 1 then base := 3 - base]-> busy;
+  busy -[when @timer >= 1 then level := 99]-> idle;
+  busy -[@activation then base := 3 - base; mark := 1 - mark]-> idle;
+  idle -[@activation then mark := 1 - mark]-> idle;
+end Unit.I;
+system Top
+features
+  out: out data port int [0..200] default 0;
+  seen: out data port int [0..1] default 0;
+end Top;
+system implementation Top.I
+subcomponents
+  u: system Unit.I in modes (on, on2);
+  bias: data int [0..1] default 0;
+flows
+  out := u.level + bias;
+  seen := u.mark;
+modes
+  on: initial mode;
+  on2: mode;
+  off: mode;
+transitions
+  on -[when @timer >= 2 then bias := 1 - bias]-> on2;
+  on2 -[when @timer >= 1]-> off;
+  off -[when @timer >= 1]-> on;
+end Top.I;
+error model Fault
+features ok: initial state; bad: error state;
+end Fault;
+error model implementation Fault.I
+events
+  f: error event occurrence poisson 1 per sec;
+  r: error event occurrence poisson 2 per sec;
+transitions
+  ok -[f]-> bad;
+  bad -[r]-> ok;
+end Fault.I;
+fault injections
+  component u uses error model Fault.I;
+  component u in state bad effect level := 0;
+end fault injections;
+)";
+
+TEST(StateInterner, IncrementalSettleMatchesAFullResettleAlongPaths) {
+    struct Walked {
+        std::string name;
+        eda::CompiledModelPtr cm;
+        std::string goal;
+        double bound;
+    };
+    std::vector<Walked> walked;
+    for (const BundledModel& bm : kBundled) {
+        walked.push_back({bm.file, compile_file(model_path(bm.file)), bm.goal, bm.bound});
+    }
+    for (int r = 1; r <= 7; ++r) {
+        walked.push_back({"sensor_filter_r" + std::to_string(r),
+                          compile_source(models::sensor_filter_source(r), "sf.slim"),
+                          models::sensor_filter_goal(), 100.0 * 3600.0});
+    }
+    for (const bool recoverable : {false, true}) {
+        models::LauncherOptions options;
+        options.recoverable_dpu = recoverable;
+        walked.push_back({recoverable ? "launcher_rec" : "launcher",
+                          compile_source(models::launcher_source(options), "launcher.slim"),
+                          models::launcher_goal(), 1800.0});
+    }
+    walked.push_back({"relay", compile_source(kRelayModel, "relay.slim"), "out > 150", 20.0});
+
+    for (const Walked& w : walked) {
+        const eda::Network net(w.cm);
+        const auto prop = sim::make_reachability(net.model(), w.goal, w.bound);
+        for (const sim::StrategyKind kind : sim::automated_strategies()) {
+            SCOPED_TRACE(w.name + " / " + sim::to_string(kind));
+            // Restart (the stepping interface's policy): every state after
+            // every step.
+            const auto strategy = sim::make_strategy(kind);
+            const sim::PathGenerator gen(net, prop, *strategy);
+            Rng rng(11);
+            std::size_t steps_checked = 0;
+            for (int path = 0; path < 500; ++path) {
+                eda::NetworkState s = gen.initial_state();
+                std::size_t steps = 0;
+                for (bool done = false; !done;) {
+                    done = gen.step(s, rng, steps).has_value();
+                    ASSERT_EQ(bits_of(s.values), bits_of(full_resettle(net, s)))
+                        << "path " << path << ", step " << steps;
+                    ++steps_checked;
+                }
+            }
+            EXPECT_GT(steps_checked, 500u);
+            // Continue: every state the strategy is consulted on.
+            ResettleChecking checking(kind);
+            sim::SimOptions options;
+            options.memory = sim::MemoryPolicy::Continue;
+            const sim::PathGenerator cont(net, prop, checking, options);
+            for (int path = 0; path < 500; ++path) (void)cont.run(rng);
+            EXPECT_GE(checking.checked, 500u);
+            EXPECT_EQ(checking.mismatched, 0u);
+        }
+    }
+}
+
 /// Asserts that configurations whose list (as `key_of` copies it out) is
 /// equal point at one copy of it, and that some configurations do share.
 template <class KeyOf>

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include "sim/runner.hpp"
+#include "support/hash.hpp"
 
 namespace slimsim::sim {
 namespace {
@@ -300,6 +303,88 @@ TEST(PathGenerator, MemoryPolicyContinueStillCorrectOnMarkovModel) {
     const double expected = 1.0 - std::exp(-1.0);
     EXPECT_NEAR(p_restart, expected, 0.03);
     EXPECT_NEAR(p_continue, expected, 0.03);
+}
+
+/// The race without pruning, one Rng::exponential per rate location: the
+/// oracle markov_race must match in winner, delay bits and RNG state.
+RaceResult plain_race(std::span<const eda::MarkovianRate> rates, Rng& rng) {
+    RaceResult race;
+    for (const auto& [proc, rate] : rates) {
+        const double d = rng.exponential(rate);
+        if (d < race.time) {
+            race.time = d;
+            race.winner = proc;
+        }
+    }
+    return race;
+}
+
+/// Races `rates` from `start` both ways; false (with a failure) on any
+/// difference.
+bool same_race(std::span<const eda::MarkovianRate> rates, const Rng& start) {
+    Rng pruned = start;
+    Rng plain = start;
+    const RaceResult got = markov_race(rates, pruned);
+    const RaceResult want = plain_race(rates, plain);
+    if (got.winner == want.winner && double_bits(got.time) == double_bits(want.time) &&
+        pruned() == plain() && pruned() == plain()) {
+        return true;
+    }
+    ADD_FAILURE() << rates.size() << " rates, first " << rates[0].total_rate << ": winner "
+                  << got.winner << " vs " << want.winner << ", time " << got.time << " vs "
+                  << want.time;
+    return false;
+}
+
+TEST(MarkovRace, MatchesThePlainLoopBitForBit) {
+    Rng shapes(2024); // draws each vector's shape and rates
+    std::vector<eda::MarkovianRate> rates;
+    const auto log_uniform = [&] { return std::pow(10.0, shapes.uniform(-12.0, 12.0)); };
+    // Kind 0: equal rates; 1: log-uniform over [1e-12, 1e12]; 2: a few
+    // distinct rates, far apart.
+    constexpr std::array kFew{1e-12, 1e-3, 1.0, 2.5, 1e3, 1e12};
+    const auto fill = [&](std::size_t n, int kind) {
+        rates.clear();
+        const double common = log_uniform();
+        for (std::size_t i = 0; i < n; ++i) {
+            double rate = common;
+            if (kind == 1) rate = log_uniform();
+            if (kind == 2) rate = kFew[shapes.uniform_index(kFew.size())];
+            rates.push_back({static_cast<eda::ProcessId>(i), rate});
+        }
+    };
+    // 10^6 seeded vectors of 1 to 64 rate locations.
+    for (std::uint64_t v = 0; v < 1'000'000; ++v) {
+        const std::size_t n = v % 4 == 0 ? 1 : 1 + shapes.uniform_index(v % 4 == 3 ? 64 : 16);
+        fill(n, static_cast<int>(shapes.uniform_index(3)));
+        ASSERT_TRUE(same_race(rates, Rng(v))) << "vector " << v;
+    }
+
+    // Uniforms within 2^-20 of 0 and of 1, raced at each of the first four
+    // positions of a vector: scan one stream for such draws and start races
+    // up to three draws before them.
+    Rng scan(99);
+    std::array<Rng, 4> recent{scan, scan, scan, scan}; // states before the last draws
+    std::size_t near0 = 0;
+    std::size_t near1 = 0;
+    for (std::uint64_t i = 0; i < 40'000'000 && (near0 < 16 || near1 < 16); ++i) {
+        std::rotate(recent.rbegin(), recent.rbegin() + 1, recent.rend());
+        recent[0] = scan;
+        const double u = scan.uniform01();
+        const bool low = u < 0x1.0p-20;
+        if (!low && u <= 1.0 - 0x1.0p-20) continue;
+        ++(low ? near0 : near1);
+        for (std::size_t back = 0; back < std::min<std::uint64_t>(4, i + 1); ++back) {
+            for (int kind = 0; kind < 3; ++kind) {
+                for (const std::size_t extra : {0, 1, 7}) {
+                    fill(back + 1 + extra, kind);
+                    ASSERT_TRUE(same_race(rates, recent[back])) << "draw " << i;
+                }
+            }
+        }
+    }
+    EXPECT_GE(near0, 16u);
+    EXPECT_GE(near1, 16u);
 }
 
 } // namespace

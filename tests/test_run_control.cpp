@@ -473,16 +473,26 @@ TEST_F(RunControlSim, PeriodicCheckpointsDoNotPerturbTheRun) {
 
 TEST_F(RunControlSim, UnwritablePeriodicCheckpointEndsTheRunWithItsError) {
     // Inline and on worker threads, the write error reaches the caller; the
-    // threads are stopped and joined first.
+    // threads are stopped and joined first. The degraded run names the
+    // consumer, not a worker, as its stop cause.
     SimOptions options;
     options.control.checkpoint_path = temp_path("no_such_dir/ck.bin");
     options.control.checkpoint_every = 50;
-    EXPECT_THROW((void)estimate(net, prop, StrategyKind::Progressive, ch, 5, options), Error);
+    telemetry::RunReport inline_report;
+    EXPECT_THROW(
+        (void)estimate(net, prop, StrategyKind::Progressive, ch, 5, options, &inline_report),
+        Error);
     ParallelOptions po;
     po.workers = 3;
     po.sim = options;
-    EXPECT_THROW((void)estimate_parallel(net, prop, StrategyKind::Progressive, ch, 5, po),
+    telemetry::RunReport threaded_report;
+    EXPECT_THROW((void)estimate_parallel(net, prop, StrategyKind::Progressive, ch, 5, po,
+                                         &threaded_report),
                  Error);
+    for (const telemetry::RunReport* report : {&inline_report, &threaded_report}) {
+        EXPECT_EQ(report->run_status.status, "degraded");
+        EXPECT_EQ(report->run_status.stop_cause, "consumer failure");
+    }
 }
 
 TEST_F(RunControlSim, CurveResumeIsByteIdentical) {

@@ -327,7 +327,6 @@ void journal_overhead(benchio::Report& report) {
             journal::Journal journal(journal::Level::Debug);
             sim::ParallelOptions po;
             po.workers = 4;
-            po.sim.control.deterministic_streams = true;
             if (logged) po.sim.journal = &journal;
             (void)sim::estimate_parallel(net, prop, sim::StrategyKind::Asap, criterion,
                                          9, po);
@@ -377,7 +376,6 @@ void supervision_overhead(benchio::Report& report) {
             } else {
                 sim::ParallelOptions po;
                 po.workers = 4;
-                po.sim.control.deterministic_streams = true;
                 (void)sim::estimate_parallel(net, prop, sim::StrategyKind::Asap,
                                              criterion, 9, po);
             }

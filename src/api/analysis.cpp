@@ -425,10 +425,9 @@ AnalysisResult run_analysis(const eda::Network& net, const AnalysisRequest& requ
             report.params.emplace_back("indifference", request.indifference);
             report.params.emplace_back("threshold", request.threshold);
             // SPRT's statistic is a function of (count, successes) only, so
-            // checkpoints need no field for it. Like estimation, a threaded
-            // test consults it at round ends under per-worker streams
-            // (deterministic in (seed, workers)), and after every sample under
-            // per-path streams (--checkpoint, --processes): same at any count.
+            // checkpoints need no field for it. Like estimation, every venue
+            // consults it after every sample: the same verdict at any worker
+            // or process count.
             criterion = std::make_unique<stat::Sprt>(request.threshold,
                                                      request.indifference, request.delta);
         } else {

@@ -1,7 +1,6 @@
 #include "sim/consumer.hpp"
 
 #include <algorithm>
-#include <functional>
 
 #include "support/memprobe.hpp"
 
@@ -93,7 +92,7 @@ RunConsumer::RunConsumer(const TimedReachability& property, std::string strategy
         while (next_mark_ <= base_) next_mark_ *= 2;
     }
     // Periodic checkpoints land at exact multiples of checkpoint_every in
-    // every venue: the drain pauses there (accept()).
+    // every venue (fold()).
     if (control_.checkpoint_every > 0) {
         next_checkpoint_ = (base_ / control_.checkpoint_every + 1) * control_.checkpoint_every;
     }
@@ -117,42 +116,30 @@ std::uint64_t RunConsumer::path_errors() const {
 }
 
 void RunConsumer::consume(const PathOutcome& out) {
-    last_.add(out.satisfied);
-    if (curve_summary_ != nullptr) curve_summary_->add(out.satisfied, out.end_time);
-    const auto tag = static_cast<std::size_t>(out.terminal);
-    if (tags_.size() <= tag) tags_.resize(tag + 1, 0);
-    ++tags_[tag];
-    steps_ += out.steps;
-    accept();
+    fold({out.satisfied, static_cast<std::uint8_t>(out.terminal), out.end_time, out.steps});
     after_batch(1);
 }
 
-std::size_t RunConsumer::drain(bool ordered) {
-    // Runs under the collector mutex: accept() must not call back into the
-    // collector (tags and steps are updated before it runs).
-    const std::function<bool()> done = [this] { return accept(); };
-    const std::uint64_t budget = control_.budget.max_samples;
+std::size_t RunConsumer::drain() {
     std::size_t total = 0;
     for (;;) {
-        // Whole rounds stop on a sample budget only where it falls on a round
-        // end; the collector ends the last round early instead.
-        const std::uint64_t room = budget == 0 ? stat::SampleCollector::kUnlimited
-                                   : budget > last_.count ? budget - last_.count
-                                                          : 0;
-        const std::size_t consumed =
-            ordered ? collector_->drain_ordered(last_, curve_summary_, &tags_, done, &steps_)
-                    : collector_->drain_rounds(last_, &tags_, done, &steps_, room);
-        total += consumed;
-        // After a checkpoint pause, drain again at once: waiting for new
-        // samples here would cost a poll or sleep per checkpoint.
-        if (!after_batch(consumed)) return total;
+        const std::size_t taken = collector_->take(batch_);
+        std::size_t folded = 0;
+        while (folded < taken && !stopped_) fold(batch_[folded++]);
+        if (folded < taken) collector_->put_back(std::span(batch_).subspan(folded));
+        total += folded;
+        after_batch(folded);
+        if (stopped_ || taken < stat::SampleCollector::kMaxTake) return total;
     }
 }
 
-bool RunConsumer::accept() {
-    // Trajectory marks at the first accepted count >= each power of two:
-    // the exact powers under per-path streams and for the inline producer,
-    // round ends under round-robin draining.
+void RunConsumer::fold(const stat::TaggedSample& sample) {
+    last_.add(sample.value);
+    if (curve_summary_ != nullptr) curve_summary_->add(sample.value, sample.time);
+    if (tags_.size() <= sample.tag) tags_.resize(sample.tag + 1, 0);
+    ++tags_[sample.tag];
+    steps_ += sample.steps;
+    // Trajectory marks at each power of two.
     if (last_.count >= next_mark_) {
         if (report_ != nullptr) {
             report_->stop_trajectory.push_back({last_.count, required_, last_.successes});
@@ -164,20 +151,24 @@ bool RunConsumer::accept() {
         while (next_mark_ <= last_.count) next_mark_ *= 2;
     }
     if (criterion_met() || governor_.should_stop(last_.count, steps_, path_errors())) {
+        // A stopping run writes only its final checkpoint (finish()).
         stopped_ = true;
-        return true;
+        return;
     }
-    return next_checkpoint_ != 0 && last_.count >= next_checkpoint_;
+    if (next_checkpoint_ != 0 && last_.count >= next_checkpoint_) {
+        save_checkpoint();
+        next_checkpoint_ += control_.checkpoint_every;
+    }
 }
 
-bool RunConsumer::after_batch(std::size_t consumed) {
-    if (consumed == 0) {
+void RunConsumer::after_batch(std::size_t folded) {
+    if (folded == 0) {
         // No decision ran since the last batch; only the governor's
         // timing-dependent causes (interrupt, wall clock) can have fired.
         if (!stopped_) stopped_ = governor_.should_stop(last_.count, steps_, path_errors());
-        return false;
+        return;
     }
-    live_.add_samples(consumed);
+    live_.add_samples(folded);
     if (live_ && collector_ != nullptr) live_.sync_rounds(collector_->stats().rounds);
     // Progress callbacks fire from this consuming thread only, so they can
     // never perturb the sample order.
@@ -191,11 +182,6 @@ bool RunConsumer::after_batch(std::size_t consumed) {
             last_progress_ = now;
         }
     }
-    // A stopping run writes only its final checkpoint (finish()).
-    if (stopped_ || next_checkpoint_ == 0 || last_.count < next_checkpoint_) return false;
-    save_checkpoint();
-    while (next_checkpoint_ <= last_.count) next_checkpoint_ += control_.checkpoint_every;
-    return true;
 }
 
 void RunConsumer::snapshot() {
@@ -217,8 +203,10 @@ void RunConsumer::quarantine(std::size_t worker, std::uint64_t local, const char
 }
 
 std::vector<std::uint64_t> RunConsumer::accepted_per_worker() const {
-    if (collector_ != nullptr) return collector_->consumed_per_worker();
-    return {last_.count - base_};
+    const std::uint64_t n = last_.count - base_;
+    std::vector<std::uint64_t> out(workers_, n / workers_);
+    for (std::size_t w = 0; w < n % workers_; ++w) ++out[w];
+    return out;
 }
 
 std::vector<std::string> RunConsumer::error_log() const {
@@ -319,8 +307,8 @@ EstimationResult RunConsumer::finish(EstimationResult run,
     r.terminals = terminal_histogram(run.terminals);
     r.worker_stats.clear();
     for (std::size_t w = 0; w < generated.size(); ++w) {
-        // Stream w is the worker's split, or its family {w, w+k, ...} of
-        // per-path splits; an inline run's 0 is the master stream.
+        // Stream w names the worker's family {w, w+k, ...} of per-path
+        // splits.
         r.worker_stats.push_back(telemetry::WorkerStats{w, w, generated[w], accepted[w]});
     }
     if (curve_ != nullptr) {

@@ -8,9 +8,12 @@
 // summary, terminal tags and accepted steps, the RunGovernor, live metrics,
 // the journal's worker rings and stop event, the power-of-two trajectory
 // marks, the periodic checkpoint schedule, progress snapshots, quarantined
-// faults, and the assembly of the result and the report. Producers differ only in
-// how samples reach it: the inline producer hands each path to consume(),
-// the others feed a SampleCollector that drain() empties.
+// faults, and the assembly of the result and the report. Producers differ
+// only in how samples reach it: the inline producer hands each path to
+// consume(), the others feed a SampleCollector that drain() takes from in
+// global path order. Either way each sample goes through the same fold, on
+// the consuming thread and outside the collector's lock, so every venue
+// stops, marks and checkpoints at the same sample.
 #pragma once
 
 #include <chrono>
@@ -48,17 +51,16 @@ public:
     /// already satisfies them accepts nothing more.
     [[nodiscard]] bool stopped() const { return stopped_; }
 
-    /// The inline producer: accepts one path, takes the per-sample decision
-    /// and runs the post-batch hook.
+    /// The inline producer: folds one path and runs the post-batch hook.
     void consume(const PathOutcome& out);
 
-    /// The threaded and supervised venues: drains the collector with the
-    /// per-sample decision as its predicate — in global path order when
-    /// `ordered` (per-path streams), else whole rounds — and runs the
-    /// post-batch hook. When the drain paused for a periodic checkpoint,
-    /// the checkpoint is saved outside the collector mutex and the drain
-    /// resumes at once. Returns the samples consumed.
-    std::size_t drain(bool ordered);
+    /// The threaded and supervised venues: takes the collector's samples in
+    /// global path order, SampleCollector::kMaxTake at a time, and folds
+    /// each outside the collector's lock, running the post-batch hook after
+    /// each take. It returns when the run stops — putting back the part of
+    /// the last take it did not fold — or a take comes back short, i.e. the
+    /// next path's sample has not arrived. Returns the samples folded.
+    std::size_t drain();
 
     /// Quarantines a throwing path under FaultPolicy::Tolerate: its message
     /// is kept with the worker's local path index (the first
@@ -67,7 +69,8 @@ public:
     void quarantine(std::size_t worker, std::uint64_t local, const char* what);
 
     /// Samples accepted from each worker in this run (a resumed prefix
-    /// counts for none of them).
+    /// counts for none of them): worker w of k owns every k-th of them,
+    /// starting at the w-th.
     [[nodiscard]] std::vector<std::uint64_t> accepted_per_worker() const;
 
     /// Ends the run: the final progress snapshot, the journal merge and stop
@@ -82,16 +85,14 @@ public:
                                           bool final_checkpoint = true);
 
 private:
-    /// The per-sample decision, after every accepted sample: takes the
-    /// trajectory marks, then returns true when draining must pause — the
-    /// criterion (consulted first, so ties report Converged) or the governor
-    /// stopped the run, or the next periodic checkpoint is due.
-    bool accept();
-    /// After every drain (and every inline sample): live metrics, progress
-    /// snapshots, the governor when nothing was consumed, and the periodic
-    /// checkpoint the last decision paused for. Returns true when it saved
-    /// that checkpoint, i.e. the drain paused without stopping the run.
-    bool after_batch(std::size_t consumed);
+    /// Accepts one sample into the summaries, then takes the per-sample
+    /// decision: the trajectory marks, the criterion (consulted first, so
+    /// ties report Converged) and the governor, and — unless the run
+    /// stopped — the periodic checkpoint due at this count.
+    void fold(const stat::TaggedSample& sample);
+    /// After every take (and every inline sample): live metrics, progress
+    /// snapshots, and the governor when nothing was folded.
+    void after_batch(std::size_t folded);
     [[nodiscard]] bool criterion_met() const;
     [[nodiscard]] std::uint64_t path_errors() const;
     [[nodiscard]] std::vector<std::string> error_log() const;
@@ -120,6 +121,8 @@ private:
     std::vector<std::string> resumed_log_;
     mutable std::mutex faults_mutex_;
     std::vector<std::vector<std::pair<std::uint64_t, std::string>>> faults_;
+
+    std::vector<stat::TaggedSample> batch_; // the last take
 
     bool stopped_ = false;
     std::uint64_t required_ = 0;

@@ -4,9 +4,10 @@
 // inline producer and the worker threads of run_in_process(), and the
 // supervised worker process — turns "local path i" into a PathOutcome and
 // owns the rules they share:
-//   * streams: under per-path streams, path i is global path
-//     j = first + i*stride and simulates with Rng(seed).split(j); otherwise
-//     it continues the producer's own stream;
+//   * streams: local path i of producer w of k is global path
+//     j = base + w + i*k and simulates with Rng(seed).split(j), so every
+//     path's draws are fixed by (seed, j) alone; the inline producer is
+//     the case k = 1;
 //   * fault isolation: under FaultPolicy::Tolerate a throwing path becomes
 //     an Error-tagged unsatisfied outcome and its message is kept;
 //   * witnesses: the pre-path RNG snapshot, taken only while the producer's
@@ -19,18 +20,18 @@ namespace slimsim::sim {
 
 class PathExecutor {
 public:
-    /// `gen` and `master` (Rng(seed)) must outlive the executor; `stream` is
-    /// unused under `per_path`; `witnesses` may be null (no capture).
-    PathExecutor(const PathGenerator& gen, const Rng& master, Rng stream, bool per_path,
-                 std::uint64_t first, std::uint64_t stride, bool tolerate,
-                 WitnessBuffer* witnesses)
-        : gen_(gen), master_(master), rng_(stream), per_path_(per_path), first_(first),
-          stride_(stride), tolerate_(tolerate), witnesses_(witnesses) {}
+    /// `gen` and `master` (Rng(seed)) must outlive the executor; local path
+    /// i is global path first + i*stride; `witnesses` may be null (no
+    /// capture).
+    PathExecutor(const PathGenerator& gen, const Rng& master, std::uint64_t first,
+                 std::uint64_t stride, bool tolerate, WitnessBuffer* witnesses)
+        : gen_(gen), master_(master), first_(first), stride_(stride), tolerate_(tolerate),
+          witnesses_(witnesses) {}
 
     /// Simulates local path `local`; call in local order. Under FailFast a
     /// throwing path's exception propagates.
     [[nodiscard]] PathOutcome run(std::uint64_t local) {
-        if (per_path_) rng_ = master_.split(first_ + local * stride_);
+        rng_ = master_.split(first_ + local * stride_);
         const bool snapshot = witnesses_ != nullptr && !witnesses_->saturated();
         if (snapshot) pre_path_ = rng_;
         PathOutcome out;
@@ -52,8 +53,7 @@ public:
 private:
     const PathGenerator& gen_;
     const Rng& master_;
-    Rng rng_;
-    bool per_path_;
+    Rng rng_{0};
     std::uint64_t first_;
     std::uint64_t stride_;
     bool tolerate_;
@@ -66,7 +66,9 @@ private:
 /// estimate_parallel() and estimate_curve_parallel(). With `inline_strategy`
 /// set, one producer runs inline on the calling thread and hands each path
 /// to RunConsumer::consume; otherwise options.workers threads, each with its
-/// own strategy of `kind`, feed a SampleCollector the calling thread drains.
+/// own strategy of `kind`, feed a SampleCollector the calling thread drains
+/// through RunConsumer::drain. Both give the same result for every worker
+/// count.
 /// `kind` is unused inline. `curve` and `curve_summary` are null for a
 /// scalar run. An abort — a producer's FailFast fault, or the consumer
 /// failing to write a periodic checkpoint — stops and joins every producer

@@ -62,12 +62,6 @@ EstimationResult run_in_process(const eda::Network& net, const TimedReachability
     const bool inline_run = inline_strategy != nullptr;
     const std::size_t k = inline_run ? 1 : options.workers;
     const bool coverage = options.sim.coverage;
-    // Curves, coverage and checkpoint/resume switch to per-path RNG streams
-    // and sample-granular ordered draining: the accepted prefix (and so the
-    // estimate, the profile and the checkpoint cursor) is then the same for
-    // every worker count, and a resumed run continues the exact path
-    // sequence the interrupted run would have produced.
-    const bool per_path = curve != nullptr || coverage || options.sim.control.per_path_streams();
     const bool tolerate = options.sim.control.fault.kind == FaultPolicyKind::Tolerate;
 
     // A curve's paths only need to run to its largest bound; the hit time
@@ -119,8 +113,8 @@ EstimationResult run_in_process(const eda::Network& net, const TimedReachability
     // outcome to `emit`. Decision observation stays scoped to the loop: the
     // inline producer's witness replay reuses its strategy and must not
     // pollute the decision histograms.
-    const auto produce = [&](std::size_t w, Strategy& strategy, Rng stream,
-                             std::uint64_t& generated, auto running, auto emit) {
+    const auto produce = [&](std::size_t w, Strategy& strategy, std::uint64_t& generated,
+                             auto running, auto emit) {
         const ObserverGuard observe(strategy, coverage ? shards[w].get() : nullptr);
         SimOptions sim_options = options.sim;
         sim_options.trace_lane = lanes[w];
@@ -129,7 +123,7 @@ EstimationResult run_in_process(const eda::Network& net, const TimedReachability
         }
         if (coverage) sim_options.coverage_shard = shards[w].get();
         const PathGenerator gen(net, horizon, strategy, sim_options);
-        PathExecutor executor(gen, master, stream, per_path, base + w, k, tolerate,
+        PathExecutor executor(gen, master, base + w, k, tolerate,
                               witness_k > 0 ? &witness_buffers[w] : nullptr);
         while (running()) {
             const PathOutcome out = executor.run(generated);
@@ -143,10 +137,9 @@ EstimationResult run_in_process(const eda::Network& net, const TimedReachability
     };
 
     // The two producer kinds differ only in what they hand produce(): the
-    // inline producer continues the master stream Rng(seed) with the
-    // caller's strategy (so Input and custom strategies work) on the
-    // caller's trace lane, inside the run span; worker thread w continues
-    // Rng(seed).split(w) with its own strategy of `kind` on lane "worker w".
+    // inline producer runs the caller's strategy (so Input and custom
+    // strategies work) on the caller's trace lane, inside the run span;
+    // worker thread w runs its own strategy of `kind` on lane "worker w".
     std::vector<std::uint64_t> generated(k, 0);
     std::exception_ptr failure;
     bool consumer_failed = false; // else a producer's FailFast fault
@@ -157,7 +150,7 @@ EstimationResult run_in_process(const eda::Network& net, const TimedReachability
                                                                  : "sim.estimate")
                                           : tracer::kNoName);
         try {
-            produce(0, *inline_strategy, master, generated[0],
+            produce(0, *inline_strategy, generated[0],
                     [&] { return !consumer.stopped(); },
                     [&](const PathOutcome& out) {
                         try {
@@ -183,7 +176,7 @@ EstimationResult run_in_process(const eda::Network& net, const TimedReachability
                 try {
                     const auto strategy = make_strategy(kind);
                     SampleBlock block(*collector, w);
-                    produce(w, *strategy, master.split(w), local_generated,
+                    produce(w, *strategy, local_generated,
                             [&] { return !stop.load(std::memory_order_relaxed); },
                             [&](const PathOutcome& out) {
                                 block.add(stat::TaggedSample{
@@ -199,13 +192,9 @@ EstimationResult run_in_process(const eda::Network& net, const TimedReachability
             });
         }
 
-        // Per-path runs drain sample by sample in global path order, so the
-        // accepted prefix — possibly ending mid-round — is the same for
-        // every worker count; the others take whole rounds, deterministic
-        // in (seed, k).
         try {
             while (!stop.load(std::memory_order_relaxed) && !consumer.stopped()) {
-                if (consumer.drain(per_path) == 0 && !consumer.stopped()) {
+                if (consumer.drain() == 0 && !consumer.stopped()) {
                     std::this_thread::sleep_for(std::chrono::microseconds(200));
                 }
             }

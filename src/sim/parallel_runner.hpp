@@ -1,11 +1,12 @@
 // Parallel Monte Carlo estimation (paper, Sec. III-C): the in-process venue
 // (sim/executor.hpp) with k worker threads.
 //
-// k worker threads generate paths independently (worker i simulates with the
-// RNG stream split(seed, i)); samples are consumed in *rounds* — one sample
-// from every worker per round — via stat::SampleCollector, which removes the
-// completion-order bias of naive parallel collection [21] and makes the
-// result deterministic in (seed, worker count). bench_parallel's bias demo
+// Worker w of k simulates the global paths j = w, w+k, w+2k, ..., each with
+// its own RNG stream Rng(seed).split(j), and hands the samples to a
+// stat::SampleCollector. The run consumer (sim/consumer.hpp) takes them in
+// global path order, which removes the completion-order bias of naive
+// parallel collection [21] and makes the accepted prefix — and so the
+// result — the same for every worker count. bench_parallel's bias demo
 // contrasts this with first-come consumption. A worker's FailFast abort
 // finalizes the partial report (status degraded) before it is rethrown.
 #pragma once
@@ -27,12 +28,12 @@ struct ParallelOptions {
 
 /// Estimates P( <> [0,u] goal ) with k parallel workers. Each worker uses
 /// its own Strategy instance of the given kind (the Input strategy is not
-/// supported in parallel runs). Worker i simulates with RNG stream
-/// split(seed, i). When `report` is non-null, sampling statistics are
-/// recorded: the terminal histogram and per-worker accepted counts are
-/// computed over *accepted* samples and are deterministic in
-/// (seed, workers); generated-path counts and collector high-water marks
-/// land in the report's runtime section.
+/// supported in parallel runs). Path j simulates with RNG stream
+/// Rng(seed).split(j), so the result is the same for every worker count.
+/// When `report` is non-null, sampling statistics are recorded: the terminal
+/// histogram and per-worker accepted counts are computed over *accepted*
+/// samples and are deterministic in (seed, workers); generated-path counts
+/// and collector high-water marks land in the report's runtime section.
 [[nodiscard]] EstimationResult estimate_parallel(const eda::Network& net,
                                                  const TimedReachability& property,
                                                  StrategyKind strategy,
@@ -49,13 +50,9 @@ struct ParallelOptions {
                                                  std::uint64_t seed,
                                                  const ParallelOptions& options = {});
 
-/// Parallel multi-bound curve estimation. Unlike estimate_parallel, RNG
-/// streams are per *path*, not per worker: worker w of k simulates paths
-/// j = w, w+k, w+2k, ... each with stream split(seed, j), and the collector
-/// consumes at sample granularity in global path order (drain_ordered), so
-/// the accepted set, the stop point, and hence every curve point are
-/// byte-identical for every worker count — a strictly stronger guarantee
-/// than estimate_parallel's per-fixed-k determinism. Witness capture is not
+/// Parallel multi-bound curve estimation, with estimate_parallel's streams
+/// and consumption: the accepted set, the stop point, and hence every curve
+/// point are byte-identical for every worker count. Witness capture is not
 /// supported in curve mode (sim.witness is ignored).
 [[nodiscard]] CurveResult estimate_curve_parallel(const eda::Network& net,
                                                   const TimedReachability& property,

@@ -132,24 +132,16 @@ struct RunControlOptions {
     std::string checkpoint_path;
     std::uint64_t checkpoint_every = 0;
     /// Snapshot to resume from (validated against this run's identity);
-    /// must outlive the run. Resuming forces per-path RNG streams.
+    /// must outlive the run.
     const RunCheckpoint* resume = nullptr;
     /// Identity of the model (CompiledModel::content_hash(): a deterministic
     /// hash of the behavioral content, insensitive to reformatting) recorded
     /// into and validated against checkpoints; 0 skips the model-hash check.
     std::uint64_t model_hash = 0;
-    /// Force per-path RNG streams (Rng(seed).split(j)) even without
-    /// checkpointing, making results byte-identical across worker counts.
-    bool deterministic_streams = false;
 
-    /// Checkpointing and resuming require per-path streams: the cursor is
-    /// meaningless under per-worker streams.
-    [[nodiscard]] bool per_path_streams() const {
-        return deterministic_streams || resume != nullptr || checkpoint_every > 0 ||
-               !checkpoint_path.empty();
-    }
     [[nodiscard]] bool hardened() const {
-        return budget.active() || interrupt != nullptr || per_path_streams() ||
+        return budget.active() || interrupt != nullptr || resume != nullptr ||
+               checkpoint_every > 0 || !checkpoint_path.empty() ||
                fault.kind == FaultPolicyKind::Tolerate;
     }
 };

@@ -47,9 +47,8 @@ struct EstimationResult {
 };
 
 /// Estimates P( <> [0,u] goal ) by Monte Carlo on the calling thread until
-/// the stopping criterion is met. Deterministic in `seed`: path j continues
-/// the master stream Rng(seed), or simulates with Rng(seed).split(j) under
-/// per-path streams. When `report` is non-null the
+/// the stopping criterion is met. Deterministic in `seed`: path j simulates
+/// with Rng(seed).split(j), as in every venue. When `report` is non-null the
 /// sampling statistics (samples, terminals, worker entry, stop-criterion
 /// trajectory) are recorded into it; identity fields (mode, model, phases)
 /// are the caller's responsibility — run_analysis() fills them.

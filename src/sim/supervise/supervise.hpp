@@ -9,7 +9,7 @@
 // stalls past its heartbeat deadline, or sends a corrupt frame, the
 // coordinator kills it and hands the *unacknowledged* tail of its index
 // set to a replacement that regenerates exactly the same samples. Samples
-// are merged through SampleCollector::drain_ordered in global path order,
+// are taken from a SampleCollector in global path order by the run consumer,
 // so the final estimate, terminal histogram and report are byte-identical
 // to a single-process run at every (seed, process count, crash schedule).
 //

@@ -192,8 +192,6 @@ EstimationResult run_core(const eda::Network& net, const TimedReachability& prop
     std::size_t alive_count = 0;
     bool fatal = false;
     std::string fatal_message;
-    bool exhausted = false;
-    std::string exhausted_cause;
 
     auto send_all = [](int fd, const std::string& bytes) -> bool {
         std::size_t off = 0;
@@ -318,16 +316,9 @@ EstimationResult run_core(const eda::Network& net, const TimedReachability& prop
                 break;
             }
         }
-        if (s.restarts >= options.worker_retries) {
-            if (!exhausted) {
-                exhausted = true;
-                exhausted_cause =
-                    "worker " + std::to_string(w) + " exhausted its " +
-                    std::to_string(options.worker_retries) + " restarts (last failure: " +
-                    kReasonNames[static_cast<int>(reason)] + ")";
-            }
-            return;
-        }
+        // Out of restarts: the slot stays dead, and the run degrades once
+        // global path order reaches its dry buffer.
+        if (s.restarts >= options.worker_retries) return;
         const double delay =
             std::min(options.backoff_max_seconds,
                      options.backoff_initial_seconds *
@@ -513,15 +504,21 @@ EstimationResult run_core(const eda::Network& net, const TimedReachability& prop
             }
             if (g_heartbeat_age != nullptr) g_heartbeat_age->set(stalest);
 
-            // Sample-granular draining in global path order, with the same
-            // per-sample decision as the in-process venues.
-            const std::size_t consumed = consumer.drain(true);
-            if (!consumer.stopped() && exhausted && consumed == 0) {
-                // The dead slot's stream can never advance again, so global
-                // path order is blocked for good once its buffer is dry:
-                // degrade with the partial result (never an exception).
+            // Draining in global path order, with the same per-sample
+            // decision as the in-process venues. It returns when the next
+            // path's slot has nothing buffered; if that slot is dead for
+            // good, global path order is blocked for good: degrade with the
+            // partial result — the prefix up to that slot's first missing
+            // path (never an exception).
+            consumer.drain();
+            const std::size_t next = collector.next_worker();
+            const Slot& blocking = slots[next];
+            if (!consumer.stopped() && !blocking.alive && !blocking.pending_respawn) {
                 run.status = RunStatus::Degraded;
-                run.stop_cause = exhausted_cause;
+                run.stop_cause = "worker " + std::to_string(next) + " exhausted its " +
+                                 std::to_string(options.worker_retries) +
+                                 " restarts (last failure: " +
+                                 kReasonNames[static_cast<int>(blocking.last_loss)] + ")";
                 break;
             }
         }

@@ -105,7 +105,7 @@ int run_worker_mode(int fd) {
 
         // Under FailFast a path's throw becomes FATAL below.
         const Rng master(setup.seed);
-        PathExecutor executor(gen, master, master, true, setup.base + setup.w, setup.k,
+        PathExecutor executor(gen, master, setup.base + setup.w, setup.k,
                               setup.tolerate != 0, nullptr);
         const std::uint32_t batch_size = std::max<std::uint32_t>(1, setup.batch);
         auto inj = setup.injections.cbegin();

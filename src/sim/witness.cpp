@@ -20,7 +20,7 @@ std::vector<std::pair<std::size_t, PathSnapshot>> select_witness_paths(
 
     auto pick = [&](bool satisfied) {
         // Merge per-worker candidates in (path index, worker) order — the
-        // round-robin acceptance order — dropping unaccepted samples.
+        // global path order — dropping unaccepted samples.
         std::vector<std::pair<std::size_t, PathSnapshot>> pool;
         for (std::size_t w = 0; w < buffers.size(); ++w) {
             const auto& kind =

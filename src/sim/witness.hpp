@@ -6,9 +6,9 @@
 // Capturing works by RNG snapshot + replay: the copyable Rng state is saved
 // before each candidate path (32 bytes; no per-step cost on the hot path),
 // and only the selected paths are re-simulated with full trace recording
-// after the run. "First" is defined over the *accepted* sample order — for
-// parallel runs the round-robin order (round r = sample r of worker 0..k-1)
-// — so the selection is deterministic in (seed, workers). Replay is exact
+// after the run. "First" is defined over the *accepted* sample order — the
+// global path order (path r*k + w is sample r of worker w of k) — so the
+// selection depends on the seed alone. Replay is exact
 // because strategies are stateless and path generation is a pure function
 // of (network, formula, options, RNG state).
 #pragma once
@@ -65,7 +65,7 @@ private:
 
 /// Selects the globally-first K accepting and K non-accepting snapshots over
 /// the accepted sample order: per-worker snapshots are merged by
-/// (path index, worker) — the round-robin acceptance order — and snapshots
+/// (path index, worker) — the global path order — and snapshots
 /// of never-accepted samples (index >= accepted_per_worker[w]) are skipped.
 /// Returns (worker, snapshot) pairs, accepting paths first.
 [[nodiscard]] std::vector<std::pair<std::size_t, PathSnapshot>> select_witness_paths(

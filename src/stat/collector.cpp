@@ -10,7 +10,7 @@ namespace slimsim::stat {
 
 namespace {
 
-/// Times one drain call into the latency histogram; reads the wall clock
+/// Times one take call into the latency histogram; reads the wall clock
 /// only when metrics are attached.
 class DrainTimer {
 public:
@@ -32,10 +32,32 @@ private:
     std::chrono::steady_clock::time_point start_;
 };
 
+/// The wrappers' fold of one taken sample.
+void add(const TaggedSample& s, BernoulliSummary& summary, CurveSummary* curve,
+         std::vector<std::uint64_t>* tag_counts, std::uint64_t* steps) {
+    summary.add(s.value);
+    if (curve != nullptr) curve->add(s.value, s.time);
+    if (tag_counts != nullptr) {
+        if (tag_counts->size() <= s.tag) tag_counts->resize(s.tag + 1, 0);
+        ++(*tag_counts)[s.tag];
+    }
+    if (steps != nullptr) *steps += s.steps;
+}
+
 } // namespace
 
-SampleCollector::SampleCollector(std::size_t worker_count)
-    : buffers_(worker_count), consumed_(worker_count, 0) {
+SampleCollector::Buffered SampleCollector::pack(const TaggedSample& s) {
+    const std::uint64_t steps = std::min(s.steps, kMaxBufferedSteps);
+    return Buffered{s.time,
+                    steps << 9 | std::uint64_t{s.tag} << 1 | std::uint64_t{s.value}};
+}
+
+TaggedSample SampleCollector::unpack(const Buffered& b) {
+    return TaggedSample{(b.bits & 1u) != 0, static_cast<std::uint8_t>(b.bits >> 1), b.time,
+                        b.bits >> 9};
+}
+
+SampleCollector::SampleCollector(std::size_t worker_count) : buffers_(worker_count) {
     SLIMSIM_ASSERT(worker_count >= 1);
 }
 
@@ -43,81 +65,86 @@ void SampleCollector::push_block(std::size_t worker, std::span<const TaggedSampl
     std::lock_guard lock(mutex_);
     SLIMSIM_ASSERT(worker < buffers_.size());
     auto& buffer = buffers_[worker];
-    for (const TaggedSample& s : block) {
-        const std::uint64_t steps = std::min(s.steps, kMaxBufferedSteps);
-        buffer.push_back(
-            Buffered{s.time, steps << 9 | std::uint64_t{s.tag} << 1 | std::uint64_t{s.value}});
-    }
+    for (const TaggedSample& s : block) buffer.push_back(pack(s));
     pushed_ += block.size();
-    max_buffered_ = std::max(max_buffered_, pushed_ - accepted_);
-    if (m_depth_ != nullptr) m_depth_->set(static_cast<double>(pushed_ - accepted_));
+    max_buffered_ = std::max(max_buffered_, pushed_ - taken_);
+    if (m_depth_ != nullptr) m_depth_->set(static_cast<double>(pushed_ - taken_));
 }
 
-void SampleCollector::consume_locked(BernoulliSummary& summary, std::size_t worker,
-                                     std::vector<std::uint64_t>* tag_counts,
-                                     CurveSummary* curve, std::uint64_t* steps) {
-    auto& buffer = buffers_[worker];
-    const Buffered b = buffer.front();
-    buffer.pop_front();
-    const bool value = (b.bits & 1u) != 0;
-    const auto tag = static_cast<std::uint8_t>(b.bits >> 1);
-    summary.add(value);
-    if (curve != nullptr) curve->add(value, b.time);
-    if (tag_counts != nullptr) {
-        if (tag_counts->size() <= tag) tag_counts->resize(tag + 1, 0);
-        ++(*tag_counts)[tag];
-    }
-    if (steps != nullptr) *steps += b.bits >> 9;
-    ++consumed_[worker];
-    ++accepted_;
-}
-
-std::size_t SampleCollector::drain_rounds(BernoulliSummary& summary,
-                                          std::vector<std::uint64_t>* tag_counts,
-                                          const std::function<bool()>& done,
-                                          std::uint64_t* steps, std::uint64_t max_samples) {
+std::size_t SampleCollector::take(std::vector<TaggedSample>& out, std::size_t max) {
+    out.clear();
+    max = std::min(max, kMaxTake);
     std::lock_guard lock(mutex_);
     const DrainTimer timer(m_drain_);
     const std::size_t k = buffers_.size();
-    std::size_t available = buffers_.front().size();
-    for (const auto& b : buffers_) available = std::min(available, b.size());
-    std::size_t consumed = 0;
-    bool stopped = false;
-    while (available > 0 && max_samples - consumed >= k) {
-        for (std::size_t w = 0; w < k; ++w) {
-            consume_locked(summary, w, tag_counts, nullptr, steps);
+    std::size_t w = taken_ % k;
+    while (out.size() < max && !buffers_[w].empty()) {
+        out.push_back(unpack(buffers_[w].front()));
+        buffers_[w].pop_front();
+        ++taken_;
+        if (++w == k) {
+            w = 0;
+            if (lane_ != nullptr) {
+                lane_->instant(n_round_, n_arg_accepted_, static_cast<double>(taken_));
+            }
         }
-        --available;
-        consumed += k;
-        ++rounds_;
-        if (lane_ != nullptr) {
-            lane_->instant(n_round_, n_arg_accepted_, static_cast<double>(accepted_));
-        }
-        stopped = done();
-        if (stopped) break;
     }
-    // A budget that ends mid-round takes the first samples of the next round.
-    const std::uint64_t rest = max_samples - consumed;
-    if (!stopped && rest > 0 && rest < k &&
-        std::all_of(buffers_.begin(), buffers_.begin() + static_cast<std::ptrdiff_t>(rest),
-                    [](const auto& b) { return !b.empty(); })) {
-        for (std::size_t w = 0; w < rest; ++w) {
-            consume_locked(summary, w, tag_counts, nullptr, steps);
-        }
-        consumed += rest;
-        done();
+    if (m_depth_ != nullptr) m_depth_->set(static_cast<double>(pushed_ - taken_));
+    return out.size();
+}
+
+void SampleCollector::put_back(std::span<const TaggedSample> tail) {
+    std::lock_guard lock(mutex_);
+    SLIMSIM_ASSERT(tail.size() <= taken_);
+    for (auto it = tail.rbegin(); it != tail.rend(); ++it) {
+        --taken_;
+        buffers_[taken_ % buffers_.size()].push_front(pack(*it));
     }
-    if (m_depth_ != nullptr) m_depth_->set(static_cast<double>(pushed_ - accepted_));
-    return consumed;
+    if (m_depth_ != nullptr) m_depth_->set(static_cast<double>(pushed_ - taken_));
+}
+
+std::size_t SampleCollector::next_worker() const {
+    std::lock_guard lock(mutex_);
+    return taken_ % buffers_.size();
 }
 
 std::size_t SampleCollector::drain_rounds(BernoulliSummary& summary, std::size_t max_rounds,
                                           std::vector<std::uint64_t>* tag_counts,
                                           std::uint64_t* steps) {
-    if (max_rounds == 0) return 0;
-    std::size_t rounds = 0;
-    return drain_rounds(
-        summary, tag_counts, [&] { return ++rounds >= max_rounds; }, steps);
+    // Only this thread takes, so the complete rounds counted here stay
+    // buffered until taken.
+    std::size_t want = max_rounds;
+    {
+        std::lock_guard lock(mutex_);
+        for (const auto& b : buffers_) want = std::min(want, b.size());
+    }
+    want *= buffers_.size();
+    std::vector<TaggedSample> batch;
+    std::size_t total = 0;
+    while (total < want && take(batch, want - total) > 0) {
+        for (const TaggedSample& s : batch) add(s, summary, nullptr, tag_counts, steps);
+        total += batch.size();
+    }
+    return total;
+}
+
+std::size_t SampleCollector::drain_ordered(BernoulliSummary& summary, CurveSummary* curve,
+                                           std::vector<std::uint64_t>* tag_counts,
+                                           const std::function<bool()>& done,
+                                           std::uint64_t* steps) {
+    std::vector<TaggedSample> batch;
+    std::size_t total = 0;
+    while (take(batch) > 0) {
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            add(batch[i], summary, curve, tag_counts, steps);
+            if (done()) {
+                put_back(std::span(batch).subspan(i + 1));
+                return total + i + 1;
+            }
+        }
+        total += batch.size();
+    }
+    return total;
 }
 
 void SampleCollector::set_trace(tracer::Lane* lane) {
@@ -141,29 +168,6 @@ void SampleCollector::set_metrics(metrics::Registry* registry) {
                                     metrics::time_buckets());
 }
 
-std::size_t SampleCollector::drain_ordered(BernoulliSummary& summary, CurveSummary* curve,
-                                           std::vector<std::uint64_t>* tag_counts,
-                                           const std::function<bool()>& done,
-                                           std::uint64_t* steps) {
-    std::lock_guard lock(mutex_);
-    const DrainTimer timer(m_drain_);
-    std::size_t consumed = 0;
-    while (!buffers_[cursor_].empty()) {
-        consume_locked(summary, cursor_, tag_counts, curve, steps);
-        ++consumed;
-        cursor_ = (cursor_ + 1) % buffers_.size();
-        if (cursor_ == 0) {
-            ++rounds_;
-            if (lane_ != nullptr) {
-                lane_->instant(n_round_, n_arg_accepted_, static_cast<double>(accepted_));
-            }
-        }
-        if (done()) break;
-    }
-    if (m_depth_ != nullptr) m_depth_->set(static_cast<double>(pushed_ - accepted_));
-    return consumed;
-}
-
 std::size_t SampleCollector::buffered() const {
     std::lock_guard lock(mutex_);
     std::size_t total = 0;
@@ -174,16 +178,11 @@ std::size_t SampleCollector::buffered() const {
 telemetry::CollectorStats SampleCollector::stats() const {
     std::lock_guard lock(mutex_);
     telemetry::CollectorStats s;
-    s.rounds = rounds_;
-    s.accepted = accepted_;
-    s.discarded = pushed_ - accepted_;
+    s.rounds = taken_ / buffers_.size();
+    s.accepted = taken_;
+    s.discarded = pushed_ - taken_;
     s.max_buffered = max_buffered_;
     return s;
-}
-
-std::vector<std::uint64_t> SampleCollector::consumed_per_worker() const {
-    std::lock_guard lock(mutex_);
-    return consumed_;
 }
 
 } // namespace slimsim::stat

@@ -1,9 +1,9 @@
 // Deterministic random number generation for reproducible simulation.
 //
 // slimsim never uses global RNG state: every stochastic component receives an
-// explicit Rng (or a seed). Parallel workers receive independent streams
-// derived from the master seed via SplitMix64 jumps, so a run is fully
-// reproducible given (seed, worker count).
+// explicit Rng (or a seed). Estimation path j simulates with the independent
+// stream Rng(seed).split(j), derived via SplitMix64, so a run is fully
+// reproducible given the seed alone, whichever worker simulates the path.
 #pragma once
 
 #include <cmath>

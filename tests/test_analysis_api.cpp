@@ -157,7 +157,6 @@ TEST_F(AnalysisApiTest, HypothesisTestRunsInEveryVenue) {
     req.mode = AnalysisMode::HypothesisTest;
     req.threshold = 0.6; // near the true 0.63: a few hundred paths
     req.indifference = 0.02;
-    req.sim.control.deterministic_streams = true;
     const AnalysisResult one = run_analysis(net, req);
     req.workers = 3;
     const AnalysisResult three = run_analysis(net, req);

@@ -45,36 +45,38 @@ TEST(Collector, MaxRoundsLimitsConsumption) {
     EXPECT_EQ(c.buffered(), 2u);
 }
 
-TEST(Collector, SampleBudgetEndsTheLastRoundEarly) {
-    SampleCollector c(3);
-    for (std::size_t w = 0; w < 3; ++w) {
-        for (int i = 0; i < 4; ++i) c.push(w, w == 1);
+TEST(Collector, TakeIsBoundedAndPutBackRestoresTheTail) {
+    // Worker 0 has 1,000 samples buffered and worker 1 has 1,500 (step
+    // counts number them). One take hands out at most kMaxTake in global
+    // order and stops where worker 0 runs dry.
+    SampleCollector c(2);
+    for (std::uint64_t i = 0; i < 1500; ++i) {
+        if (i < 1000) c.push(0, TaggedSample{true, 0, 0.0, 2 * i});
+        c.push(1, TaggedSample{false, 0, 0.0, 2 * i + 1});
     }
-    BernoulliSummary s;
-    std::size_t decisions = 0;
-    const auto done = [&] {
-        ++decisions;
-        return false;
-    };
-    // 7 = two whole rounds, then worker 0's sample of the third round.
-    EXPECT_EQ(c.drain_rounds(s, nullptr, done, nullptr, 7), 7u);
-    EXPECT_EQ(s.count, 7u);
-    EXPECT_EQ(s.successes, 2u); // worker 1 delivered in rounds 1 and 2 only
-    EXPECT_EQ(decisions, 3u);   // after each round and after the partial one
-    EXPECT_EQ(c.consumed_per_worker(), (std::vector<std::uint64_t>{3, 2, 2}));
-    EXPECT_EQ(c.stats().rounds, 2u);
+    std::vector<TaggedSample> batch;
+    ASSERT_EQ(c.take(batch), SampleCollector::kMaxTake);
+    for (std::size_t j = 0; j < batch.size(); ++j) EXPECT_EQ(batch[j].steps, j);
+    EXPECT_EQ(c.next_worker(), 0u);
+    EXPECT_EQ(c.take(batch, 5), 5u);
+    EXPECT_EQ(batch.front().steps, SampleCollector::kMaxTake);
+    EXPECT_EQ(c.next_worker(), 1u);
 
-    // The partial round waits until every sample it takes is buffered.
-    SampleCollector d(3);
-    d.push(1, true);
-    d.push(0, true);
-    BernoulliSummary t;
-    EXPECT_EQ(d.drain_rounds(t, nullptr, done, nullptr, 2), 2u);
-    EXPECT_EQ(t.count, 2u);
-    SampleCollector e(3);
-    e.push(1, true);
-    BernoulliSummary u;
-    EXPECT_EQ(e.drain_rounds(u, nullptr, done, nullptr, 2), 0u);
+    // The last three go back and come out again first, in order; the
+    // statistics count them as buffered again meanwhile.
+    c.put_back(std::span(batch).subspan(2));
+    EXPECT_EQ(c.next_worker(), 0u);
+    telemetry::CollectorStats st = c.stats();
+    EXPECT_EQ(st.accepted, SampleCollector::kMaxTake + 2);
+    EXPECT_EQ(st.rounds, SampleCollector::kMaxTake / 2 + 1);
+    EXPECT_EQ(st.discarded, 2500 - st.accepted);
+    EXPECT_EQ(c.take(batch), 2000 - SampleCollector::kMaxTake - 2);
+    for (std::size_t j = 0; j < batch.size(); ++j) {
+        EXPECT_EQ(batch[j].steps, SampleCollector::kMaxTake + 2 + j);
+    }
+    EXPECT_EQ(c.next_worker(), 0u); // worker 0 is dry; worker 1 has 500 left
+    EXPECT_EQ(c.take(batch), 0u);
+    EXPECT_EQ(c.buffered(), 500u);
 }
 
 TEST(Collector, RoundRobinOrderIsPerWorkerFifo) {
@@ -115,11 +117,16 @@ TEST(Collector, ThreadSafety) {
             }
         });
     }
+    // The consumer's pattern: take in global order, fold outside the lock.
     BernoulliSummary s;
     std::uint64_t steps = 0;
-    std::size_t consumed = 0;
-    while (consumed < 4 * kPerWorker) {
-        consumed += c.drain_rounds(s, nullptr, [] { return false; }, &steps);
+    std::vector<TaggedSample> batch;
+    while (s.count < 4 * kPerWorker) {
+        c.take(batch);
+        for (const TaggedSample& t : batch) {
+            s.add(t.value);
+            steps += t.steps;
+        }
     }
     for (auto& t : threads) t.join();
     EXPECT_EQ(s.count, 4u * kPerWorker);
@@ -134,7 +141,7 @@ TEST(Collector, ThreadSafety) {
 TEST(Collector, PushBlockKeepsPerWorkerFifo) {
     // Step counts tag each sample with its position: worker 0 sends
     // 1..5 in two blocks, worker 1 sends 10..50 one at a time and as a
-    // block. Round r must pair the r-th sample of each worker.
+    // block. Global order must pair the r-th sample of each worker.
     SampleCollector c(2);
     const std::vector<TaggedSample> a{{true, 0, 0.0, 1}, {true, 0, 0.0, 2}, {true, 0, 0.0, 3}};
     const std::vector<TaggedSample> b{{true, 0, 0.0, 4}, {true, 0, 0.0, 5}};
@@ -147,61 +154,16 @@ TEST(Collector, PushBlockKeepsPerWorkerFifo) {
     c.push(1, TaggedSample{false, 0, 0.0, 50});
     EXPECT_EQ(c.buffered(), 10u);
 
-    BernoulliSummary s;
-    std::uint64_t steps = 0;
-    std::vector<std::uint64_t> per_round;
-    std::uint64_t before = 0;
-    EXPECT_EQ(c.drain_rounds(
-                  s, nullptr,
-                  [&] {
-                      per_round.push_back(steps - before);
-                      before = steps;
-                      return false;
-                  },
-                  &steps),
-              10u);
-    EXPECT_EQ(per_round, (std::vector<std::uint64_t>{11, 22, 33, 44, 55}));
-    EXPECT_EQ(s.successes, 5u);
-}
-
-TEST(Collector, PredicateDrainStopsAfterTheExactRound) {
-    // Five rounds buffered; done() turns true once 7 samples are in, i.e.
-    // after round 3 (9 samples). Rounds 4 and 5 stay buffered for the next
-    // call, and the accumulators are up to date when done() runs.
-    SampleCollector c(3);
-    for (std::size_t w = 0; w < 3; ++w) {
-        std::vector<TaggedSample> block;
-        for (int r = 0; r < 5; ++r) {
-            block.push_back(TaggedSample{r % 2 == 0, static_cast<std::uint8_t>(w), 0.0, 2});
-        }
-        c.push_block(w, block);
+    std::vector<TaggedSample> batch;
+    EXPECT_EQ(c.take(batch), 10u);
+    std::vector<std::uint64_t> order;
+    std::size_t successes = 0;
+    for (const TaggedSample& t : batch) {
+        order.push_back(t.steps);
+        successes += t.value ? 1 : 0;
     }
-    BernoulliSummary s;
-    std::vector<std::uint64_t> tags;
-    std::uint64_t steps = 0;
-    std::size_t calls = 0;
-    const auto n = c.drain_rounds(
-        s, &tags,
-        [&] {
-            ++calls;
-            EXPECT_EQ(steps, 2 * s.count);
-            EXPECT_EQ(tags.size(), 3u);
-            return s.count >= 7;
-        },
-        &steps);
-    EXPECT_EQ(n, 9u);
-    EXPECT_EQ(calls, 3u);
-    EXPECT_EQ(s.count, 9u);
-    EXPECT_EQ(s.successes, 6u); // rounds 1 and 3 succeed
-    EXPECT_EQ(tags, (std::vector<std::uint64_t>{3, 3, 3}));
-    EXPECT_EQ(c.buffered(), 6u);
-    EXPECT_EQ(c.consumed_per_worker(), (std::vector<std::uint64_t>{3, 3, 3}));
-
-    // done() true at once still consumes exactly one round.
-    EXPECT_EQ(c.drain_rounds(s, nullptr, [] { return true; }), 3u);
-    EXPECT_EQ(c.drain_rounds(s, nullptr, [] { return false; }), 3u);
-    EXPECT_EQ(c.drain_rounds(s, nullptr, [] { return true; }), 0u); // nothing left
-    EXPECT_EQ(s.count, 15u);
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 10, 2, 20, 3, 30, 4, 40, 5, 50}));
+    EXPECT_EQ(successes, 5u);
 }
 
 TEST(Collector, MaxRoundsWrapperMatchesTheOldSemantics) {
@@ -249,7 +211,7 @@ TEST(Collector, StatsStayConsistentAcrossDrainModes) {
     c.push_block(1, std::vector<TaggedSample>(3, TaggedSample{false}));
     EXPECT_EQ(c.stats().max_buffered, 7u);
     BernoulliSummary s;
-    EXPECT_EQ(c.drain_rounds(s, nullptr, [] { return false; }), 6u);
+    EXPECT_EQ(c.drain_rounds(s), 6u);
     telemetry::CollectorStats st = c.stats();
     EXPECT_EQ(st.rounds, 3u);
     EXPECT_EQ(st.accepted, 6u);

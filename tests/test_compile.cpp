@@ -421,8 +421,10 @@ std::vector<GeneratedModel> generated_models() {
 
 /// One estimate pinned at a seed: the estimate's bits, the sample and
 /// success counts and the terminal histogram (PathTerminal order). The
-/// values were taken while a tree-walking reference network still ran every
-/// path beside the compiled one and agreed on every field.
+/// values were first taken while a tree-walking reference network still ran
+/// every path beside the compiled one and agreed on every field, and
+/// re-pinned once when the sequential runner moved from one continuing
+/// stream to per-path streams.
 struct PinnedEstimate {
     const char* model;
     std::uint64_t seed;
@@ -433,18 +435,18 @@ struct PinnedEstimate {
 };
 
 constexpr PinnedEstimate kPinnedEstimates[] = {
-    {"gps.slim", 1, 0x3fefb9611a7b9612ULL, 116, 115, {115, 1, 0, 0, 0, 0}},
+    {"gps.slim", 1, 0x3ff0000000000000ULL, 116, 116, {116, 0, 0, 0, 0, 0}},
     {"gps.slim", 42, 0x3ff0000000000000ULL, 116, 116, {116, 0, 0, 0, 0, 0}},
-    {"gps_restart.slim", 1, 0x3fef72c234f72c23ULL, 116, 114, {114, 1, 0, 1, 0, 0}},
-    {"gps_restart.slim", 42, 0x3ff0000000000000ULL, 116, 116, {116, 0, 0, 0, 0, 0}},
+    {"gps_restart.slim", 1, 0x3ff0000000000000ULL, 116, 116, {116, 0, 0, 0, 0, 0}},
+    {"gps_restart.slim", 42, 0x3fefb9611a7b9612ULL, 116, 115, {115, 1, 0, 0, 0, 0}},
     {"failover.slim", 1, 0x0000000000000000ULL, 116, 0, {0, 116, 0, 0, 0, 0}},
     {"failover.slim", 42, 0x0000000000000000ULL, 116, 0, {0, 116, 0, 0, 0, 0}},
-    {"sensor_filter_panic.slim", 1, 0x3fd3dcb08d3dcb09ULL, 116, 36, {36, 14, 0, 66, 0, 0}},
-    {"sensor_filter_panic.slim", 42, 0x3fd1a7b9611a7b96ULL, 116, 32, {32, 9, 0, 75, 0, 0}},
-    {"sensor_filter_r3", 1, 0x3fd2c234f72c234fULL, 116, 34, {34, 82, 0, 0, 0, 0}},
-    {"sensor_filter_r3", 42, 0x3fd8469ee58469eeULL, 116, 44, {44, 72, 0, 0, 0, 0}},
-    {"launcher_rec", 1, 0x3fc1a7b9611a7b96ULL, 116, 16, {16, 100, 0, 0, 0, 0}},
-    {"launcher_rec", 42, 0x3fb611a7b9611a7cULL, 116, 10, {10, 106, 0, 0, 0, 0}},
+    {"sensor_filter_panic.slim", 1, 0x3fd72c234f72c235ULL, 116, 42, {42, 8, 0, 66, 0, 0}},
+    {"sensor_filter_panic.slim", 42, 0x3fd611a7b9611a7cULL, 116, 40, {40, 7, 0, 69, 0, 0}},
+    {"sensor_filter_r3", 1, 0x3fd08d3dcb08d3ddULL, 116, 30, {30, 86, 0, 0, 0, 0}},
+    {"sensor_filter_r3", 42, 0x3fd69ee58469ee58ULL, 116, 41, {41, 75, 0, 0, 0, 0}},
+    {"launcher_rec", 1, 0x3fc08d3dcb08d3ddULL, 116, 15, {15, 101, 0, 0, 0, 0}},
+    {"launcher_rec", 42, 0x3fc08d3dcb08d3ddULL, 116, 15, {15, 101, 0, 0, 0, 0}},
 };
 
 /// Every estimate field at the model's two pinned seeds.
@@ -490,9 +492,8 @@ TEST(CompiledModel, EstimatesAreByteIdenticalAcrossWorkerCounts) {
         req.delta = 0.2;
         req.eps = 0.1;
         req.seed = 9;
-        // Per-path RNG streams: path j always uses Rng(seed).split(j), so
-        // the accepted sample set is a pure function of the seed.
-        req.sim.control.deterministic_streams = true;
+        // Path j always uses Rng(seed).split(j), so the accepted sample set
+        // is a pure function of the seed.
         std::optional<AnalysisResult> first;
         for (const std::size_t workers : {1U, 2U, 4U}) {
             req.workers = workers;

@@ -303,7 +303,6 @@ TEST(JournalDeterminism, DeterministicViewIsByteIdenticalAcrossWorkers) {
             req.delta = 0.1;
             req.eps = 0.05;
             req.seed = 7;
-            req.sim.control.deterministic_streams = true;
             if (in.checkpoint_every > 0) {
                 req.sim.control.checkpoint_path = checkpoint;
                 req.sim.control.checkpoint_every = in.checkpoint_every;

@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "models/failover.hpp"
+#include "models/gps.hpp"
 #include "models/launcher.hpp"
 #include "models/sensor_filter.hpp"
 #include "support/telemetry.hpp"
@@ -73,8 +74,9 @@ TEST_F(ParallelTest, DifferentWorkerCountsAgreeStatistically) {
 // Golden byte-identity: the deterministic view of the run report (everything
 // but the "runtime" and "resources" sections) is pinned at fixed seeds, so a
 // change to how samples travel from workers to the consumer cannot move any
-// accepted sample, stop point or trajectory mark unnoticed. The pinned values
-// were computed with the one-sample-per-push, one-round-per-drain collector.
+// accepted sample, stop point or trajectory mark unnoticed. Scalar runs were
+// re-pinned once when every run moved to per-path RNG streams; samples and
+// successes are now the same at every worker count.
 
 std::uint64_t fnv1a64(std::string_view text) {
     std::uint64_t h = 0xCBF29CE484222325ULL;
@@ -105,24 +107,24 @@ TEST_F(ParallelTest, GoldenDeterministicViewOfScalarRuns) {
     };
     constexpr GoldenRun kGolden[] = {
         // criterion, seed, workers, samples, successes, view hash
-        {"ch", 3, 1, 2050, 1319, 0x07FDD0BEDC56C70FULL},
-        {"ch", 3, 2, 2050, 1319, 0xCF674B23BB9E47E8ULL},
-        {"ch", 3, 3, 2052, 1326, 0x87AA91EAE933B3D3ULL},
-        {"ch", 17, 1, 2050, 1248, 0x8C86B17165947736ULL},
-        {"ch", 17, 2, 2050, 1252, 0x9779E220CED5D92FULL},
-        {"ch", 17, 3, 2052, 1268, 0xBF38212336AC1505ULL},
-        {"gauss", 3, 1, 2401, 1544, 0x4EB9C87E21176CD0ULL},
-        {"gauss", 3, 2, 2402, 1548, 0xCBEE2607D7860982ULL},
-        {"gauss", 3, 3, 2403, 1549, 0xA9511876131BEC27ULL},
-        {"gauss", 17, 1, 2401, 1470, 0x85ABC37E47F9216DULL},
-        {"gauss", 17, 2, 2402, 1479, 0x5C2DFD4AF1712C9EULL},
-        {"gauss", 17, 3, 2403, 1484, 0xCD8B117387EF078FULL},
-        {"chow", 3, 1, 2210, 1422, 0x2E73BF74C0BB3BFEULL},
-        {"chow", 3, 2, 2210, 1421, 0xB6A340FCEC26ACF9ULL},
-        {"chow", 3, 3, 2205, 1423, 0x22F1D3110404C9B6ULL},
-        {"chow", 17, 1, 2288, 1399, 0xF944A5010A57A4EEULL},
-        {"chow", 17, 2, 2288, 1399, 0xF496A0F820F70799ULL},
-        {"chow", 17, 3, 2268, 1408, 0x228225E931170C18ULL},
+        {"ch", 3, 1, 2050, 1303, 0x8ECE0A541959DC98ULL},
+        {"ch", 3, 2, 2050, 1303, 0x405ABC17B1339D9AULL},
+        {"ch", 3, 3, 2050, 1303, 0x8156B01E74CB9F6FULL},
+        {"ch", 17, 1, 2050, 1285, 0x170B41294A81EA89ULL},
+        {"ch", 17, 2, 2050, 1285, 0x9A33B5DB859BB3D3ULL},
+        {"ch", 17, 3, 2050, 1285, 0x9EA20471009EE8FCULL},
+        {"gauss", 3, 1, 2401, 1522, 0x5A1F8687ED42FDAAULL},
+        {"gauss", 3, 2, 2401, 1522, 0x3F47F15DA35F8C48ULL},
+        {"gauss", 3, 3, 2401, 1522, 0x238387FB128317F3ULL},
+        {"gauss", 17, 1, 2401, 1507, 0x5DA23FBB1A7E57C0ULL},
+        {"gauss", 17, 2, 2401, 1507, 0x13A9AD29FCCD28BAULL},
+        {"gauss", 17, 3, 2401, 1507, 0x9EA05419A2D0BD5FULL},
+        {"chow", 3, 1, 2233, 1417, 0xD301832F3F6605F1ULL},
+        {"chow", 3, 2, 2233, 1417, 0x48046547F98B55E9ULL},
+        {"chow", 3, 3, 2233, 1417, 0xB66116F206904EC0ULL},
+        {"chow", 17, 1, 2252, 1412, 0xFA31B23EBC6B4776ULL},
+        {"chow", 17, 2, 2252, 1412, 0x1F7AC6B6B07C18FEULL},
+        {"chow", 17, 3, 2252, 1412, 0x8D4805839749E022ULL},
     };
     for (const GoldenRun& g : kGolden) {
         ParallelOptions po;
@@ -166,10 +168,8 @@ TEST_F(ParallelTest, GoldenDeterministicViewOfCurveRuns) {
     }
 }
 
-// The sequential runners and the per-path Bernoulli drain of the threaded
-// runner: the master stream, per-path streams switched on by the run
-// control, a curve, and coverage (which switches estimate_parallel to
-// per-path streams and sample-by-sample draining) at 1 and 3 workers.
+// The sequential runners and the threaded runner with coverage: a scalar
+// run, a curve, and coverage at 1 and 3 workers.
 TEST_F(ParallelTest, GoldenDeterministicViewOfSequentialRuns) {
     const stat::ChernoffHoeffding ch(0.05, 0.03);
     const stat::ChowRobbins chow(0.05, 0.02);
@@ -185,9 +185,6 @@ TEST_F(ParallelTest, GoldenDeterministicViewOfSequentialRuns) {
     };
     constexpr VenueRun kGolden[] = {
         // venue, criterion, seed, samples, successes, view hash
-        {"master", "ch", 3, 2050, 1276, 0x816CA8D9FEEF0373ULL},
-        {"master", "ch", 17, 2050, 1261, 0xABF9D0C863D3AABCULL},
-        {"master", "chow", 3, 2268, 1407, 0xD021CBFEA7BB1C58ULL},
         {"per_path", "ch", 3, 2050, 1303, 0x646B7A41F7AA5D73ULL},
         {"per_path", "ch", 17, 2050, 1285, 0x21D25D501167735EULL},
         {"per_path", "chow", 3, 2233, 1417, 0x5F96E14F9533DBE6ULL},
@@ -212,11 +209,9 @@ TEST_F(ParallelTest, GoldenDeterministicViewOfSequentialRuns) {
                                             curve, g.seed, {}, &report);
             samples = res.samples;
             successes = res.points.back().successes;
-        } else if (venue == "master" || venue == "per_path") {
-            SimOptions so;
-            so.control.deterministic_streams = venue == "per_path";
-            const auto res = estimate(net, prop, StrategyKind::Progressive, criterion, g.seed,
-                                      so, &report);
+        } else if (venue == "per_path") {
+            const auto res =
+                estimate(net, prop, StrategyKind::Progressive, criterion, g.seed, {}, &report);
             samples = res.samples;
             successes = res.successes;
         } else {
@@ -272,18 +267,18 @@ TEST(ParallelGolden, GoldenDeterministicViewOfGeneratedModels) {
     };
     constexpr GeneratedRun kGolden[] = {
         // model, seed, workers, samples, successes, view hash (CH criterion)
-        {"sensor_filter_r3", 3, 1, 2050, 597, 0xBA17AF8EF842AE4CULL},
-        {"sensor_filter_r3", 3, 3, 2052, 634, 0xD395A58648514B10ULL},
-        {"sensor_filter_r3", 17, 1, 2050, 582, 0xCC0C2043986FE7FEULL},
-        {"sensor_filter_r3", 17, 3, 2052, 574, 0x048C3BA27EB98E93ULL},
-        {"launcher_rec", 3, 1, 2050, 240, 0x877D222CE38D4AB7ULL},
-        {"launcher_rec", 3, 3, 2052, 242, 0x4F63DE688DB7D6E6ULL},
-        {"launcher_rec", 17, 1, 2050, 221, 0x9781D46D7E6F1DF2ULL},
-        {"launcher_rec", 17, 3, 2052, 227, 0x1DE5CA58E746A801ULL},
-        {"failover", 3, 1, 2050, 404, 0x0ACBE3DE0279E468ULL},
-        {"failover", 3, 3, 2052, 420, 0x25B93CB5E478739DULL},
-        {"failover", 17, 1, 2050, 389, 0x9BDCF316DF75CFC1ULL},
-        {"failover", 17, 3, 2052, 384, 0x779937E904403CD7ULL},
+        {"sensor_filter_r3", 3, 1, 2050, 636, 0xE135BB814404C0D2ULL},
+        {"sensor_filter_r3", 3, 3, 2050, 636, 0x9CDA3E57B607096FULL},
+        {"sensor_filter_r3", 17, 1, 2050, 654, 0x684A9CF399390D29ULL},
+        {"sensor_filter_r3", 17, 3, 2050, 654, 0xEC905113E0A1ED26ULL},
+        {"launcher_rec", 3, 1, 2050, 262, 0x4D8A7FB44F3CFCB7ULL},
+        {"launcher_rec", 3, 3, 2050, 262, 0xF88C7C5891565D24ULL},
+        {"launcher_rec", 17, 1, 2050, 240, 0x71EFA7614F6F9D28ULL},
+        {"launcher_rec", 17, 3, 2050, 240, 0x63B86C4E056B9CF3ULL},
+        {"failover", 3, 1, 2050, 412, 0x5A4CBBDA0B4DF073ULL},
+        {"failover", 3, 3, 2050, 412, 0xDE2DAFE30EC834DCULL},
+        {"failover", 17, 1, 2050, 429, 0x6ADEC7FF6EFF6295ULL},
+        {"failover", 17, 3, 2050, 429, 0x1BACCDB1CAACF2F6ULL},
     };
     const stat::ChernoffHoeffding ch(0.05, 0.03);
     for (const Generated& m : kModels) {
@@ -304,6 +299,94 @@ TEST(ParallelGolden, GoldenDeterministicViewOfGeneratedModels) {
             EXPECT_EQ(fnv1a64(view), g.view_hash) << view;
         }
     }
+}
+
+// Worker invariance: every run simulates path j with Rng(seed).split(j) and
+// accepts samples one at a time in global path order, so the inline
+// producer (1 worker) and 2 or 4 worker threads accept the same paths. The
+// deterministic report may differ only in the worker count, the per-worker
+// entries and the collector section, which the inline producer does not
+// have.
+struct WorkerInvariance : ::testing::Test {
+    eda::Network net = eda::build_network_from_source(models::gps_source());
+    TimedReachability prop = make_reachability(net.model(), models::gps_goal(), 1800.0);
+
+    struct Run {
+        EstimationResult result;
+        std::string view;
+    };
+
+    /// `criterion` at 1 (inline), 2 and 4 workers.
+    std::vector<Run> at_every_worker_count(const stat::StopCriterion& criterion,
+                                           const SimOptions& sim = {}) const {
+        std::vector<Run> runs;
+        for (const std::size_t workers : {1u, 2u, 4u}) {
+            telemetry::RunReport report;
+            Run run;
+            if (workers == 1) {
+                run.result = estimate(net, prop, StrategyKind::Progressive, criterion, 7, sim,
+                                      &report);
+            } else {
+                ParallelOptions po;
+                po.workers = workers;
+                po.sim = sim;
+                run.result = estimate_parallel(net, prop, StrategyKind::Progressive, criterion,
+                                               7, po, &report);
+            }
+            report.workers = 0;
+            json::Value kept = json::Value::object();
+            const json::Value view = telemetry::deterministic_view(report.to_json());
+            for (const auto& [key, value] : view.members()) {
+                if (key != "workers" && key != "collector") kept[key] = value;
+            }
+            run.view = kept.dump(2);
+            runs.push_back(std::move(run));
+        }
+        return runs;
+    }
+
+    static void expect_identical(const std::vector<Run>& runs) {
+        ASSERT_EQ(runs.size(), 3u);
+        for (std::size_t i = 1; i < runs.size(); ++i) {
+            SCOPED_TRACE(i == 1 ? "2 workers" : "4 workers");
+            const EstimationResult& a = runs[0].result;
+            const EstimationResult& b = runs[i].result;
+            EXPECT_EQ(b.estimate, a.estimate);
+            EXPECT_EQ(b.samples, a.samples);
+            EXPECT_EQ(b.successes, a.successes);
+            EXPECT_EQ(b.terminals, a.terminals);
+            EXPECT_EQ(b.status, a.status);
+            EXPECT_EQ(b.stop_cause, a.stop_cause);
+            EXPECT_EQ(runs[i].view, runs[0].view);
+        }
+    }
+};
+
+TEST_F(WorkerInvariance, ChernoffHoeffdingTakesExactlyNAtEveryWorkerCount) {
+    const stat::ChernoffHoeffding ch(0.05, 0.01);
+    ASSERT_EQ(*ch.fixed_sample_count(), 18445u);
+    const auto runs = at_every_worker_count(ch);
+    expect_identical(runs);
+    for (const Run& run : runs) EXPECT_EQ(run.result.samples, 18445u);
+}
+
+TEST_F(WorkerInvariance, SprtVerdictIsTheSameAtEveryWorkerCount) {
+    const stat::Sprt sprt(0.99, 0.005, 0.05);
+    const auto runs = at_every_worker_count(sprt);
+    expect_identical(runs);
+    EXPECT_TRUE(sprt.should_stop(stat::BernoulliSummary{runs[0].result.samples,
+                                                        runs[0].result.successes}));
+}
+
+TEST_F(WorkerInvariance, SampleBudgetStopsAtTheSamePathAtEveryWorkerCount) {
+    // 1,001 is no multiple of 2 or 4: the budget ends mid-round.
+    const stat::ChernoffHoeffding ch(0.05, 0.001);
+    SimOptions sim;
+    sim.control.budget.max_samples = 1001;
+    const auto runs = at_every_worker_count(ch, sim);
+    expect_identical(runs);
+    EXPECT_EQ(runs[0].result.samples, 1001u);
+    EXPECT_EQ(runs[0].result.status, RunStatus::BudgetExhausted);
 }
 
 TEST_F(ParallelTest, RejectsBadConfiguration) {

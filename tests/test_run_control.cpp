@@ -388,9 +388,8 @@ TEST_F(RunControlSim, BudgetStopWritesACheckpoint) {
 }
 
 TEST_F(RunControlSim, ResumeReproducesTheUninterruptedRunByteIdentically) {
-    // Reference: one uninterrupted run with per-path streams.
+    // Reference: one uninterrupted run.
     SimOptions ref_options;
-    ref_options.control.deterministic_streams = true;
     const auto ref = estimate(net, prop, StrategyKind::Progressive, ch, 7, ref_options);
     EXPECT_EQ(ref.status, RunStatus::Converged);
 
@@ -422,7 +421,6 @@ TEST_F(RunControlSim, ResumeReproducesTheUninterruptedRunByteIdentically) {
 
 TEST_F(RunControlSim, ParallelResumeIsByteIdenticalAtEveryWorkerCount) {
     SimOptions ref_options;
-    ref_options.control.deterministic_streams = true;
     const auto ref = estimate(net, prop, StrategyKind::Progressive, ch, 11, ref_options);
 
     for (const std::size_t workers : {1u, 2u, 4u}) {
@@ -456,7 +454,6 @@ TEST_F(RunControlSim, ParallelResumeIsByteIdenticalAtEveryWorkerCount) {
 
 TEST_F(RunControlSim, PeriodicCheckpointsDoNotPerturbTheRun) {
     SimOptions ref_options;
-    ref_options.control.deterministic_streams = true;
     const auto ref = estimate(net, prop, StrategyKind::Progressive, ch, 5, ref_options);
 
     SimOptions options;
@@ -703,7 +700,6 @@ TEST_F(FaultIsolation, TolerateTurnsFaultsIntoErrorSamplesDeterministically) {
         po.sim.max_steps = 100;
         po.sim.control.fault.kind = FaultPolicyKind::Tolerate;
         po.sim.control.fault.max_path_errors = 10;
-        po.sim.control.deterministic_streams = true;
         const auto res =
             estimate_parallel(zeno, zeno_prop, StrategyKind::Asap, ch, 1, po);
         EXPECT_EQ(res.status, RunStatus::Degraded) << workers << " workers";

@@ -94,10 +94,16 @@ def cells():
     out['gps/sprt/w3'] = sprt + ['--workers', '3']
     out['gps/sprt/p3'] = sprt + ['--processes', '3']
     out['gps/sprt/budget'] = MODELS['gps'] + ['--test', '0.985', '--max-samples', '100'] + SEED
+    # A supervised worker that crashes with no restarts left blocks global
+    # path order at its first missing path: the run degrades with exactly
+    # the prefix before it (paths 0..49), however the frames interleave.
+    out['gps/degraded/p2'] = (MODELS['gps'] + ESTIMATION_MODES['scalar'] + SEED +
+                              ['--processes', '2', '--worker-retries', '0',
+                               '--inject', 'worker-crash@50'])
     out['markov/ctmc'] = MARKOV + ['--ctmc']
     out['markov/scalar/w3'] = MARKOV + ESTIMATION_MODES['scalar'] + ['--workers', '3'] + SEED
     # A sample budget that is no multiple of the worker count stops at its
-    # count exactly: the last round of per-worker streams ends early.
+    # count exactly: samples are accepted one at a time in global path order.
     out['markov/budget/w3'] = (MARKOV + ESTIMATION_MODES['scalar'] +
                                ['--max-samples', '50', '--workers', '3'] + SEED)
     # Cross-option rejections: each pair exits 1 with one pinned error line,

@@ -79,6 +79,9 @@ public:
     /// The worker whose buffer the next take() reads first.
     [[nodiscard]] std::size_t next_worker() const;
 
+    /// The next two wrap take() for the benchmark probe and bench_parallel's
+    /// bias demo; the run consumer folds its samples itself.
+    ///
     /// Takes up to `max_rounds` complete rounds (one sample from every
     /// worker each) into `summary`; `tag_counts` (grown as needed) and
     /// `steps` accumulate the taken samples' tags and step counts when given.
